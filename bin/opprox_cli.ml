@@ -1153,8 +1153,12 @@ let serve_cmd =
       value
       & opt int Server.default_config.Server.max_inflight
       & info [ "max-inflight" ] ~docv:"K"
-          ~doc:"Admission bound: requests beyond $(docv) in flight are shed with an \
-                $(b,overloaded) reply.")
+          ~doc:
+            (Printf.sprintf
+               "Admission bound: connections beyond $(docv) open at once are shed with an \
+                $(b,overloaded) reply.  At most %d, the descriptors $(b,select) can watch \
+                less a reserve."
+               Server.max_inflight_limit))
   in
   let cache_cap_arg =
     Arg.(

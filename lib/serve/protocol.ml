@@ -259,7 +259,8 @@ let rec write_all fd bytes off len =
     write_all fd bytes (off + n) (len - n)
   end
 
-let write_raw_frame fd payload =
+(* Length prefix plus payload, as one string ready for the socket. *)
+let encode_raw_frame payload =
   let len = String.length payload in
   if len > max_frame_bytes then
     failwith (Printf.sprintf "Protocol.write_frame: payload of %d bytes exceeds %d" len
@@ -267,9 +268,26 @@ let write_raw_frame fd payload =
   let frame = Bytes.create (4 + len) in
   Bytes.set_int32_be frame 0 (Int32.of_int len);
   Bytes.blit_string payload 0 frame 4 len;
-  write_all fd frame 0 (4 + len)
+  Bytes.unsafe_to_string frame
+
+let encode_frame sexp = encode_raw_frame (Sexp.to_string sexp)
+
+let write_raw_frame fd payload =
+  let frame = encode_raw_frame payload in
+  write_all fd (Bytes.unsafe_of_string frame) 0 (String.length frame)
 
 let write_frame fd sexp = write_raw_frame fd (Sexp.to_string sexp)
+
+(* The payload length a 4-byte prefix announces, checked before anything
+   is allocated for it. *)
+let frame_length header off =
+  let len = Int32.to_int (Bytes.get_int32_be header off) in
+  if len < 0 || len > max_frame_bytes then
+    failwith (Printf.sprintf "frame length %d outside [0, %d]" len max_frame_bytes);
+  len
+
+let truncated_prefix n = Printf.sprintf "frame truncated in length prefix (%d of 4 bytes)" n
+let truncated_payload n len = Printf.sprintf "frame truncated (%d of %d payload bytes)" n len
 
 (* Read exactly [len] bytes; [`Eof n] reports how many arrived first. *)
 let read_exact fd len =
@@ -287,13 +305,54 @@ let read_exact fd len =
 let read_frame fd =
   match read_exact fd 4 with
   | `Eof 0 -> None
-  | `Eof n -> failwith (Printf.sprintf "frame truncated in length prefix (%d of 4 bytes)" n)
-  | `Ok header ->
-      let len = Int32.to_int (Bytes.get_int32_be header 0) in
-      if len < 0 || len > max_frame_bytes then
-        failwith (Printf.sprintf "frame length %d outside [0, %d]" len max_frame_bytes)
+  | `Eof n -> failwith (truncated_prefix n)
+  | `Ok header -> (
+      let len = frame_length header 0 in
+      match read_exact fd len with
+      | `Eof n -> failwith (truncated_payload n len)
+      | `Ok payload -> Some (Sexp.of_string (Bytes.unsafe_to_string payload)))
+
+module Splitter = struct
+  (* Live bytes are [buf.[lo] .. buf.[hi - 1]]; consumed frames advance
+     [lo], and the window slides back to 0 when a read needs room. *)
+  type t = { mutable buf : Bytes.t; mutable lo : int; mutable hi : int }
+
+  let min_room = 4096
+  let create () = { buf = Bytes.create min_room; lo = 0; hi = 0 }
+  let buffered t = t.hi - t.lo
+
+  let read t fd =
+    if Bytes.length t.buf - t.hi < min_room then begin
+      let live = buffered t in
+      let size = ref (Bytes.length t.buf) in
+      while !size - live < min_room do
+        size := 2 * !size
+      done;
+      let buf = if !size = Bytes.length t.buf then t.buf else Bytes.create !size in
+      Bytes.blit t.buf t.lo buf 0 live;
+      t.buf <- buf;
+      t.lo <- 0;
+      t.hi <- live
+    end;
+    let n = Unix.read fd t.buf t.hi (Bytes.length t.buf - t.hi) in
+    t.hi <- t.hi + n;
+    n
+
+  let next t =
+    let have = buffered t in
+    if have < 4 then None
+    else
+      let len = frame_length t.buf t.lo in
+      if have < 4 + len then None
       else begin
-        match read_exact fd len with
-        | `Eof n -> failwith (Printf.sprintf "frame truncated (%d of %d payload bytes)" n len)
-        | `Ok payload -> Some (Sexp.of_string (Bytes.unsafe_to_string payload))
+        let payload = Bytes.sub_string t.buf (t.lo + 4) len in
+        t.lo <- t.lo + 4 + len;
+        Some (Sexp.of_string payload)
       end
+
+  let finish t =
+    match buffered t with
+    | 0 -> ()
+    | n when n < 4 -> failwith (truncated_prefix n)
+    | n -> failwith (truncated_payload (n - 4) (frame_length t.buf t.lo))
+end

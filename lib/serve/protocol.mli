@@ -160,6 +160,12 @@ val response_of_sexp : Opprox_util.Sexp.t -> response
 
 (** {2 Framing} *)
 
+val encode_frame : Opprox_util.Sexp.t -> string
+(** One frame — length prefix and payload — as the bytes to put on the
+    wire, for callers that write on their own schedule (the server's
+    non-blocking sockets).  Raises [Failure] on a payload above
+    {!max_frame_bytes}. *)
+
 val write_frame : Unix.file_descr -> Opprox_util.Sexp.t -> unit
 (** Write one length-prefixed frame; loops over partial writes.  Raises
     [Unix.Unix_error] on transport failure. *)
@@ -173,3 +179,31 @@ val read_frame : Unix.file_descr -> Opprox_util.Sexp.t option
     [Failure] on a truncated frame, an oversized length prefix, or an
     unparseable payload, and [Unix.Unix_error] on transport failure
     (including a receive timeout). *)
+
+(** Incremental framing for non-blocking readers.
+
+    A splitter owns one connection's read buffer: each {!Splitter.read}
+    appends whatever a single [read] returns, and {!Splitter.next} hands
+    out complete frames in order, so a frame that arrives in pieces never
+    blocks the caller.  The checks are {!read_frame}'s: an out-of-range
+    length prefix fails as soon as its 4 bytes are in, before anything is
+    allocated for the payload. *)
+module Splitter : sig
+  type t
+
+  val create : unit -> t
+
+  val read : t -> Unix.file_descr -> int
+  (** One [Unix.read] into the buffer (growing it when the frame at its
+      head needs room); returns the byte count, [0] at EOF.  Raises
+      [Unix.Unix_error] as [Unix.read] does, [EAGAIN] included. *)
+
+  val next : t -> Opprox_util.Sexp.t option
+  (** The next complete frame, removed from the buffer; [None] until one
+      is complete.  Raises [Failure] on an oversized length prefix or an
+      unparseable payload. *)
+
+  val finish : t -> unit
+  (** Call at EOF once {!next} returns [None]: raises [Failure] with
+      {!read_frame}'s truncation message when a partial frame is left. *)
+end

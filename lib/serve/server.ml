@@ -3,6 +3,8 @@ module Diagnostic = Opprox_analysis.Diagnostic
 module Lint_request = Opprox_analysis.Lint_request
 module Metrics = Opprox_obs.Metrics
 module Trace = Opprox_obs.Trace
+module Dmutex = Opprox_util.Dmutex
+module Guarded = Opprox_util.Guarded
 module Pool = Opprox_util.Pool
 module Sexp = Opprox_util.Sexp
 
@@ -135,9 +137,20 @@ let restore_cache_snapshot t path =
                   Log.app (fun m -> m "restored %d cached plan(s) from %s" n path);
                   true)))
 
+(* [select] watches only descriptors below FD_SETSIZE (1024).  Admitted
+   connections share that range with everything else the daemon holds
+   open — standard streams, the listen socket, the wake-up pipe, log and
+   model files, one connection being shed — for which 64 are kept. *)
+let max_inflight_limit = 1024 - 64
+
 let create ?(config = default_config) pipelines =
   if pipelines = [] then invalid_arg "Server.create: no trained pipelines";
   if config.max_inflight < 1 then invalid_arg "Server.create: max_inflight must be >= 1";
+  if config.max_inflight > max_inflight_limit then
+    invalid_arg
+      (Printf.sprintf
+         "Server.create: max_inflight must be <= %d (select watches descriptors below 1024)"
+         max_inflight_limit);
   let served = Hashtbl.create (List.length pipelines) in
   List.iter
     (fun (tr : Opprox.trained) ->
@@ -216,10 +229,17 @@ let inflight t = Atomic.get t.inflight
 
 (* ------------------------------------------------------------ request path *)
 
-(* Validate + cache + deadline + solve for one admitted request.  [t0_us]
-   is when the request entered the server (frame fully read, or [handle]
-   called); the deadline and the latency histogram both measure from
-   there. *)
+(* What the request ladder decided on the calling domain: the reply, or a
+   solve still to run.  The socket reactor runs the ladder inline and
+   sends only [Solve] to a pool worker. *)
+type step = Reply of Protocol.response | Solve of (unit -> Protocol.response)
+
+let run_step = function Reply r -> r | Solve solve -> solve ()
+
+(* Validate + lookups for one admitted request, and the deadline-checked
+   solve when they all miss.  [t0_us] is when the request entered the
+   server (frame fully read, or [handle] called); the deadline and the
+   latency histogram both measure from there. *)
 let process t (req : Protocol.request) ~t0_us =
   Metrics.incr m_requests;
   Trace.with_span ~cat:"server" "server.request" (fun () ->
@@ -236,7 +256,7 @@ let process t (req : Protocol.request) ~t0_us =
       let diags = Lint_request.check t.target view in
       if Diagnostic.errors diags <> [] then begin
         Metrics.incr m_errors;
-        Protocol.Error diags
+        Reply (Protocol.Error diags)
       end
       else begin
         let served = Hashtbl.find t.served req.Protocol.app in
@@ -308,63 +328,65 @@ let process t (req : Protocol.request) ~t0_us =
                 | Some _ | None -> None)
         in
         match lookup () with
-        | Some (Protocol.Plan p) -> Protocol.Plan { p with elapsed_ms = elapsed_ms () }
-        | Some r -> r
-        | None -> (
-            if timed_out () then timeout ()
-            else
-              let solve () =
-                let solved =
-                  try
-                    let t_solve = Trace.now_us () in
-                    let plan =
-                      Trace.with_span ~cat:"server" "server.solve" (fun () ->
-                          Opprox.optimize ~input served.trained ~budget:req.Protocol.budget)
+        | Some (Protocol.Plan p) -> Reply (Protocol.Plan { p with elapsed_ms = elapsed_ms () })
+        | Some r -> Reply r
+        | None ->
+            Solve
+              (fun () ->
+                if timed_out () then timeout ()
+                else
+                  let solve () =
+                    let solved =
+                      try
+                        let t_solve = Trace.now_us () in
+                        let plan =
+                          Trace.with_span ~cat:"server" "server.solve" (fun () ->
+                              Opprox.optimize ~input served.trained ~budget:req.Protocol.budget)
+                        in
+                        Metrics.observe m_solve_us (Trace.now_us () -. t_solve);
+                        Ok plan
+                      with
+                      | Diagnostic.Lint_error ds -> Result.Error ds
+                      | Stdlib.Exit | Stack_overflow | Out_of_memory | Assert_failure _ as e ->
+                          raise e
+                      | e -> Result.Error [ Lint_request.internal (Printexc.to_string e) ]
                     in
-                    Metrics.observe m_solve_us (Trace.now_us () -. t_solve);
-                    Ok plan
-                  with
-                  | Diagnostic.Lint_error ds -> Result.Error ds
-                  | Stdlib.Exit | Stack_overflow | Out_of_memory | Assert_failure _ as e ->
-                      raise e
-                  | e -> Result.Error [ Lint_request.internal (Printexc.to_string e) ]
-                in
-                match solved with
-                | Result.Error ds ->
-                    Metrics.incr m_errors;
-                    Protocol.Error ds
-                | Ok plan ->
-                    let reply =
-                      Protocol.Plan
-                        {
-                          plan;
-                          cache = Protocol.Miss;
-                          models_hash = served.hash;
-                          elapsed_ms = elapsed_ms ();
-                        }
-                    in
-                    Plancache.add t.cache key reply;
-                    reply
-              in
-              (* One in-flight solve per fingerprint: concurrent identical
-                 requests (no_cache ones included — solves are
-                 deterministic) park on the leader and share its reply. *)
-              let resp =
-                match Singleflight.run t.flight key solve with
-                | Singleflight.Led r ->
-                    Metrics.incr m_sf_leaders;
-                    r
-                | Singleflight.Joined r ->
-                    Metrics.incr m_sf_coalesced;
-                    r
-              in
-              match resp with
-              | Protocol.Plan p ->
-                  (* The plan is kept (so the retry hits the cache), but a
-                     missed deadline still gets an honest timeout reply. *)
-                  if timed_out () then timeout ()
-                  else Protocol.Plan { p with elapsed_ms = elapsed_ms () }
-              | r -> r)
+                    match solved with
+                    | Result.Error ds ->
+                        Metrics.incr m_errors;
+                        Protocol.Error ds
+                    | Ok plan ->
+                        let reply =
+                          Protocol.Plan
+                            {
+                              plan;
+                              cache = Protocol.Miss;
+                              models_hash = served.hash;
+                              elapsed_ms = elapsed_ms ();
+                            }
+                        in
+                        Plancache.add t.cache key reply;
+                        reply
+                  in
+                  (* One in-flight solve per fingerprint: concurrent identical
+                     requests (no_cache ones included — solves are
+                     deterministic) park on the leader and share its reply. *)
+                  let resp =
+                    match Singleflight.run t.flight key solve with
+                    | Singleflight.Led r ->
+                        Metrics.incr m_sf_leaders;
+                        r
+                    | Singleflight.Joined r ->
+                        Metrics.incr m_sf_coalesced;
+                        r
+                  in
+                  match resp with
+                  | Protocol.Plan p ->
+                      (* The plan is kept (so the retry hits the cache), but a
+                         missed deadline still gets an honest timeout reply. *)
+                      if timed_out () then timeout ()
+                      else Protocol.Plan { p with elapsed_ms = elapsed_ms () }
+                  | r -> r)
       end)
 
 (* ---------------------------------------------------------- telemetry path *)
@@ -375,7 +397,8 @@ let process t (req : Protocol.request) ~t0_us =
    input the run is actually executing.  The suffix solve reuses the
    plan-request machinery's models but none of its caches — telemetry
    budgets are continuous (remaining budget after an arbitrary drift),
-   so fingerprint reuse would be noise. *)
+   so fingerprint reuse would be noise.  Only the re-solve is a [Solve]
+   step. *)
 let process_telemetry t (tm : Protocol.telemetry) ~t0_us =
   Metrics.incr m_telemetry;
   Trace.with_span ~cat:"server" "server.telemetry" (fun () ->
@@ -403,10 +426,10 @@ let process_telemetry t (tm : Protocol.telemetry) ~t0_us =
       let diags = shape_diags @ Lint_request.check t.target view in
       if Diagnostic.errors diags <> [] then begin
         Metrics.incr m_errors;
-        Protocol.Error diags
+        Reply (Protocol.Error diags)
       end
       else if tm.Protocol.drift <= tm.Protocol.drift_tol then
-        Protocol.PlanDelta { delta = Protocol.No_change; elapsed_ms = elapsed_ms () }
+        Reply (Protocol.PlanDelta { delta = Protocol.No_change; elapsed_ms = elapsed_ms () })
       else begin
         let served = Hashtbl.find t.served tm.Protocol.t_app in
         let trained = served.trained in
@@ -415,39 +438,42 @@ let process_telemetry t (tm : Protocol.telemetry) ~t0_us =
           | Some i -> i
           | None -> trained.Opprox.app.App.default_input
         in
-        match
-          let t_solve = Trace.now_us () in
-          let plan =
-            Trace.with_span ~cat:"server" "server.solve" (fun () ->
-                Opprox.Optimizer.solver ~models:trained.Opprox.models ~roi:trained.Opprox.roi
-                  ~input ()
-                  ~first_phase:(tm.Protocol.phase + 1)
-                  ~budget:(Float.max 0.0 tm.Protocol.remaining_budget)
-                  ())
-          in
-          Metrics.observe m_solve_us (Trace.now_us () -. t_solve);
-          plan
-        with
-        | exception Diagnostic.Lint_error ds ->
-            Metrics.incr m_errors;
-            Protocol.Error ds
-        | exception ((Stdlib.Exit | Stack_overflow | Out_of_memory | Assert_failure _) as e) ->
-            raise e
-        | exception e ->
-            Metrics.incr m_errors;
-            Protocol.Error [ Lint_request.internal (Printexc.to_string e) ]
-        | plan ->
-            Metrics.incr m_deltas;
-            Log.info (fun m ->
-                m "%s: drift %.2f > tol %.2f after phase %d; replanned phases %d.. against \
-                   budget %.3f"
-                  tm.Protocol.t_app tm.Protocol.drift tm.Protocol.drift_tol tm.Protocol.phase
-                  (tm.Protocol.phase + 1) tm.Protocol.remaining_budget);
-            Protocol.PlanDelta
-              {
-                delta = Protocol.Replan { from_phase = tm.Protocol.phase + 1; plan };
-                elapsed_ms = elapsed_ms ();
-              }
+        Solve
+          (fun () ->
+            match
+              let t_solve = Trace.now_us () in
+              let plan =
+                Trace.with_span ~cat:"server" "server.solve" (fun () ->
+                    Opprox.Optimizer.solver ~models:trained.Opprox.models ~roi:trained.Opprox.roi
+                      ~input ()
+                      ~first_phase:(tm.Protocol.phase + 1)
+                      ~budget:(Float.max 0.0 tm.Protocol.remaining_budget)
+                      ())
+              in
+              Metrics.observe m_solve_us (Trace.now_us () -. t_solve);
+              plan
+            with
+            | exception Diagnostic.Lint_error ds ->
+                Metrics.incr m_errors;
+                Protocol.Error ds
+            | exception
+                ((Stdlib.Exit | Stack_overflow | Out_of_memory | Assert_failure _) as e) ->
+                raise e
+            | exception e ->
+                Metrics.incr m_errors;
+                Protocol.Error [ Lint_request.internal (Printexc.to_string e) ]
+            | plan ->
+                Metrics.incr m_deltas;
+                Log.info (fun m ->
+                    m "%s: drift %.2f > tol %.2f after phase %d; replanned phases %d.. against \
+                       budget %.3f"
+                      tm.Protocol.t_app tm.Protocol.drift tm.Protocol.drift_tol tm.Protocol.phase
+                      (tm.Protocol.phase + 1) tm.Protocol.remaining_budget);
+                Protocol.PlanDelta
+                  {
+                    delta = Protocol.Replan { from_phase = tm.Protocol.phase + 1; plan };
+                    elapsed_ms = elapsed_ms ();
+                  })
       end)
 
 (* Admission around one request: bump the in-flight counter, shed when
@@ -468,81 +494,298 @@ let with_admission t f =
 
 let handle t req =
   let t0_us = Trace.now_us () in
-  let resp = with_admission t (fun () -> process t req ~t0_us) in
+  let resp = with_admission t (fun () -> run_step (process t req ~t0_us)) in
   Metrics.observe m_request_us (Trace.now_us () -. t0_us);
   resp
 
 let handle_telemetry t tm =
   let t0_us = Trace.now_us () in
-  let resp = with_admission t (fun () -> process_telemetry t tm ~t0_us) in
+  let resp = with_admission t (fun () -> run_step (process_telemetry t tm ~t0_us)) in
   Metrics.observe m_request_us (Trace.now_us () -. t0_us);
   resp
 
 (* ------------------------------------------------------------- socket side *)
 
-(* Serve one admitted connection: answer frames until EOF, idle timeout,
-   a transport error, or drain.  Frame-level garbage gets a structured
-   SRV004/SRV005 reply; only transport failures close the connection
-   without one. *)
-let handle_conn t fd =
-  let reply sexp = Protocol.write_frame fd sexp in
-  let rec loop () =
-    match Protocol.read_frame fd with
-    | None -> ()
-    | exception Failure msg ->
-        Metrics.incr m_errors;
-        (try reply (Protocol.response_to_sexp (Protocol.Error [ Lint_request.malformed msg ]))
-         with Unix.Unix_error _ -> ())
-        (* Framing is lost after a malformed frame; drop the connection. *)
+(* One admitted connection.  The reactor owns it while [busy] is false; a
+   dispatched solve owns it — and writes its reply — until it is handed
+   back.  Only the reactor reads or writes [busy]. *)
+type conn = {
+  fd : Unix.file_descr;
+  frames : Protocol.Splitter.t;
+  mutable out : string;  (* the reply being written, from [out_off] on *)
+  mutable out_off : int;
+  mutable busy : bool;
+  mutable eof : bool;  (* the peer has sent its last byte *)
+  mutable closing : bool;  (* close once [out] is flushed *)
+  mutable last_io_us : float;  (* the idle deadline runs from here *)
+}
+
+(* The select loop's state.  Workers touch only [handback], under [lock],
+   and the wake-up pipe's write end. *)
+type reactor = {
+  conns : (Unix.file_descr, conn) Hashtbl.t;  (* every admitted connection *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  lock : Dmutex.t;
+  handback : conn list option Guarded.t;
+      (* connections returned by workers, newest first; [None] once the
+         loop has exited, and a finishing worker closes its own *)
+}
+
+let pending c = c.out_off < String.length c.out
+
+(* Close a connection and give back its admission slot. *)
+let release t fd =
+  let n = Atomic.fetch_and_add t.inflight (-1) in
+  Metrics.set m_inflight (float_of_int (n - 1));
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Write as much of the pending reply as the socket takes now; the rest
+   waits for the write set.  A transport error — EPIPE from a peer that
+   hung up, SIGPIPE being ignored — drops the reply and marks the
+   connection for closing. *)
+let rec flush c =
+  if pending c then
+    match Unix.single_write_substring c.fd c.out c.out_off (String.length c.out - c.out_off) with
+    | n ->
+        c.out_off <- c.out_off + n;
+        c.last_io_us <- Trace.now_us ();
+        flush c
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush c
+    | exception Unix.Unix_error (e, _, _) ->
+        Log.debug (fun m -> m "connection dropped: %s" (Unix.error_message e));
+        c.out <- "";
+        c.out_off <- 0;
+        c.closing <- true
+
+let send c resp =
+  c.out <- Protocol.encode_frame (Protocol.response_to_sexp resp);
+  c.out_off <- 0;
+  flush c
+
+(* Decode one complete frame.  A well-framed but invalid payload gets an
+   SRV004/SRV005 reply and the connection stays open. *)
+let step_of_frame t frame ~t0_us =
+  let malformed msg =
+    Metrics.incr m_errors;
+    Reply (Protocol.Error [ Lint_request.malformed msg ])
+  in
+  match Protocol.frame_version frame with
+  | v when v <> Protocol.version ->
+      Metrics.incr m_errors;
+      Reply (Protocol.Error [ Lint_request.bad_version ~got:v ])
+  | _ -> (
+      match (try Protocol.frame_kind frame with Failure _ -> "<malformed>") with
+      | "telemetry" -> (
+          match Protocol.telemetry_of_sexp frame with
+          | exception Failure msg -> malformed msg
+          | tm -> process_telemetry t tm ~t0_us)
+      | "request" -> (
+          match Protocol.request_of_sexp frame with
+          | exception Failure msg -> malformed msg
+          | req -> process t req ~t0_us)
+      | k -> malformed (Printf.sprintf "unknown frame kind %S" k))
+
+(* Worker side, after the reply: return the connection and wake the loop.
+   The wake byte is written under the lock, so it never lands in a pipe
+   the exiting loop has closed. *)
+let hand_back t r c =
+  Dmutex.lock r.lock;
+  (match Guarded.get r.handback with
+  | Some cs -> (
+      Guarded.set r.handback (Some (c :: cs));
+      (* A full pipe already guarantees a wake-up. *)
+      try ignore (Unix.single_write_substring r.wake_w "!" 0 1) with Unix.Unix_error _ -> ())
+  | None -> release t c.fd);
+  Dmutex.unlock r.lock
+
+let dispatch t r c solve ~t0_us =
+  c.busy <- true;
+  Pool.async ?pool:t.pool (fun () ->
+      Fun.protect
+        ~finally:(fun () -> hand_back t r c)
+        (fun () ->
+          match solve () with
+          | resp ->
+              Metrics.observe m_request_us (Trace.now_us () -. t0_us);
+              send c resp
+          | exception e ->
+              c.closing <- true;
+              raise e))
+
+(* Answer the connection's buffered frames in order until one goes to a
+   worker, a reply is left half-written, or no complete frame is left.
+   A drain starts nothing new. *)
+let rec pump t r c =
+  if not (c.busy || c.closing || pending c || Atomic.get t.stopping) then
+    let frame_error msg =
+      (* A frame that cannot be split or parsed ends the connection,
+         after one reply. *)
+      Metrics.incr m_errors;
+      send c (Protocol.Error [ Lint_request.malformed msg ]);
+      c.closing <- true
+    in
+    match Protocol.Splitter.next c.frames with
+    | exception Failure msg -> frame_error msg
     | Some frame ->
         let t0_us = Trace.now_us () in
-        (match Protocol.frame_version frame with
-        | v when v <> Protocol.version ->
-            Metrics.incr m_errors;
-            reply
-              (Protocol.response_to_sexp
-                 (Protocol.Error [ Lint_request.bad_version ~got:v ]))
-        | _ -> (
-            match (try Protocol.frame_kind frame with Failure _ -> "<malformed>") with
-            | "telemetry" -> (
-                match Protocol.telemetry_of_sexp frame with
-                | exception Failure msg ->
-                    Metrics.incr m_errors;
-                    reply
-                      (Protocol.response_to_sexp
-                         (Protocol.Error [ Lint_request.malformed msg ]))
-                | tm ->
-                    let resp = process_telemetry t tm ~t0_us in
-                    Metrics.observe m_request_us (Trace.now_us () -. t0_us);
-                    reply (Protocol.response_to_sexp resp))
-            | "request" -> (
-                match Protocol.request_of_sexp frame with
-                | exception Failure msg ->
-                    Metrics.incr m_errors;
-                    reply
-                      (Protocol.response_to_sexp
-                         (Protocol.Error [ Lint_request.malformed msg ]))
-                | req ->
-                    let resp = process t req ~t0_us in
-                    Metrics.observe m_request_us (Trace.now_us () -. t0_us);
-                    reply (Protocol.response_to_sexp resp))
-            | k ->
-                Metrics.incr m_errors;
-                reply
-                  (Protocol.response_to_sexp
-                     (Protocol.Error
-                        [
-                          Lint_request.malformed
-                            (Printf.sprintf "unknown frame kind %S" k);
-                        ]))));
-        (* During a drain, finish the frame just answered, then close. *)
-        if not (Atomic.get t.stopping) then loop ()
+        (match step_of_frame t frame ~t0_us with
+        | Reply resp ->
+            Metrics.observe m_request_us (Trace.now_us () -. t0_us);
+            send c resp
+        | Solve solve -> dispatch t r c solve ~t0_us);
+        pump t r c
+    | None when c.eof -> (
+        match Protocol.Splitter.finish c.frames with
+        | () -> c.closing <- true
+        | exception Failure msg -> frame_error msg)
+    | None -> ()
+
+let on_readable t r c =
+  match Protocol.Splitter.read c.frames c.fd with
+  | n ->
+      if n = 0 then c.eof <- true else c.last_io_us <- Trace.now_us ();
+      pump t r c
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error (e, _, _) ->
+      Log.debug (fun m -> m "connection dropped: %s" (Unix.error_message e));
+      c.closing <- true
+
+(* Take the connections workers have returned, in hand-back order, and
+   leave [next] in their place. *)
+let swap_handback r next =
+  Dmutex.lock r.lock;
+  let returned = Option.value ~default:[] (Guarded.get r.handback) in
+  Guarded.set r.handback next;
+  Dmutex.unlock r.lock;
+  List.rev_map
+    (fun c ->
+      c.busy <- false;
+      c)
+    returned
+
+let take_handbacks t r =
+  (* Bytes left over only cost a spare wake-up. *)
+  (try ignore (Unix.read r.wake_r (Bytes.create 64) 0 64) with Unix.Unix_error _ -> ());
+  List.iter (pump t r) (swap_handback r (Some []))
+
+let accept t r lsock =
+  match Unix.accept ~cloexec:true lsock with
+  | exception
+      Unix.Unix_error
+        ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ECONNABORTED), _, _) ->
+      ()
+  | fd, _ ->
+      Metrics.incr m_connections;
+      Unix.set_nonblock fd;
+      let n = Atomic.fetch_and_add t.inflight 1 in
+      Metrics.set m_inflight (float_of_int (n + 1));
+      if n >= t.config.max_inflight then begin
+        (* Shed at accept: one explicit reply, which a fresh socket's
+           buffer always takes, and no queueing. *)
+        Metrics.incr m_overloaded;
+        let frame =
+          Protocol.encode_frame
+            (Protocol.response_to_sexp
+               (Protocol.Overloaded { inflight = n; limit = t.config.max_inflight }))
+        in
+        (try ignore (Unix.single_write_substring fd frame 0 (String.length frame))
+         with Unix.Unix_error _ -> ());
+        release t fd
+      end
+      else
+        Hashtbl.replace r.conns fd
+          {
+            fd;
+            frames = Protocol.Splitter.create ();
+            out = "";
+            out_off = 0;
+            busy = false;
+            eof = false;
+            closing = false;
+            last_io_us = Trace.now_us ();
+          }
+
+(* Close what is done: connections flushed after EOF or an error, idle
+   past [idle_timeout_s] (a reply the peer will not read counts as idle),
+   or idle when a drain starts.  Connections held by workers are left. *)
+let sweep t r ~now_us =
+  let stopping = Atomic.get t.stopping in
+  let idle_us = t.config.idle_timeout_s *. 1e6 in
+  Hashtbl.filter_map_inplace
+    (fun fd c ->
+      let idle = now_us -. c.last_io_us > idle_us in
+      if c.busy || (pending c && not idle) then Some c
+      else if c.closing || stopping || pending c || idle then begin
+        if idle then
+          Log.debug (fun m -> m "connection idle past %.0fs; closing" t.config.idle_timeout_s);
+        release t fd;
+        None
+      end
+      else Some c)
+    r.conns
+
+let run_reactor t r lsock =
+  let drain_deadline_us = ref Float.infinity in
+  let rec loop () =
+    let now_us = Trace.now_us () in
+    let stopping = Atomic.get t.stopping in
+    if stopping && !drain_deadline_us = Float.infinity then
+      drain_deadline_us := now_us +. (t.config.drain_timeout_s *. 1e6);
+    sweep t r ~now_us;
+    if not (stopping && (Hashtbl.length r.conns = 0 || now_us >= !drain_deadline_us)) then begin
+      let reads, writes =
+        Hashtbl.fold
+          (fun fd c (rs, ws) ->
+            if c.busy then (rs, ws)
+            else if pending c then (rs, fd :: ws)
+            else if c.closing || c.eof || stopping then (rs, ws)
+            else (fd :: rs, ws))
+          r.conns
+          ((r.wake_r :: (if stopping then [] else [ lsock ])), [])
+      in
+      (* The timeout bounds how late a [stop] or an idle deadline is noticed. *)
+      (match Unix.select reads writes [] 0.05 with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | readable, writable, _ ->
+          List.iter
+            (fun fd ->
+              if fd = r.wake_r then take_handbacks t r
+              else if fd = lsock then accept t r lsock
+              else Option.iter (on_readable t r) (Hashtbl.find_opt r.conns fd))
+            readable;
+          List.iter
+            (fun fd ->
+              match Hashtbl.find_opt r.conns fd with
+              | Some c when not c.busy ->
+                  flush c;
+                  pump t r c
+              | _ -> ())
+            writable);
+      loop ()
+    end
   in
-  try loop () with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      Log.debug (fun m -> m "connection idle past %.0fs; closing" t.config.idle_timeout_s)
-  | Unix.Unix_error (e, _, _) ->
-      Log.debug (fun m -> m "connection dropped: %s" (Unix.error_message e))
+  loop ()
+
+(* Stop the loop for good: from here on a finishing worker closes its own
+   connection.  Returns how many connections still held a request — a
+   solve on a worker, or a reply not fully written. *)
+let close_reactor t r =
+  ignore (swap_handback r None);
+  let unfinished =
+    Hashtbl.fold
+      (fun fd c n ->
+        if c.busy then n + 1
+        else begin
+          release t fd;
+          if pending c then n + 1 else n
+        end)
+      r.conns 0
+  in
+  Hashtbl.reset r.conns;
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ r.wake_r; r.wake_w ];
+  unfinished
 
 let stop t = Atomic.set t.stopping true
 
@@ -553,6 +796,9 @@ let install_signal_handlers t =
 
 let serve t ~socket =
   Atomic.set t.stopping false;
+  (* A peer that hangs up before its reply must cost only its own
+     connection (EPIPE), not the daemon. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   if Sys.file_exists socket then Unix.unlink socket;
   let lsock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -562,57 +808,36 @@ let serve t ~socket =
     (fun () ->
       Unix.bind lsock (Unix.ADDR_UNIX socket);
       Unix.listen lsock 64;
+      Unix.set_nonblock lsock;
       Log.app (fun m ->
           m "serving %s on %s (max in-flight %d, cache %d)"
             (String.concat ", " (apps t))
             socket t.config.max_inflight t.config.cache_capacity);
-      while not (Atomic.get t.stopping) do
-        (* Poll with a short timeout so a [stop] — e.g. from a signal
-           handler — is noticed without a pending connection. *)
-        match Unix.select [ lsock ] [] [] 0.05 with
-        | [], _, _ -> ()
-        | _ -> (
-            match Unix.accept ~cloexec:true lsock with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | fd, _ ->
-                Metrics.incr m_connections;
-                let n = Atomic.fetch_and_add t.inflight 1 in
-                Metrics.set m_inflight (float_of_int (n + 1));
-                let release () =
-                  let n = Atomic.fetch_and_add t.inflight (-1) in
-                  Metrics.set m_inflight (float_of_int (n - 1));
-                  try Unix.close fd with Unix.Unix_error _ -> ()
-                in
-                if n >= t.config.max_inflight then begin
-                  (* Shed in the accept loop itself: one explicit reply,
-                     no queueing behind busy workers. *)
-                  Metrics.incr m_overloaded;
-                  (try
-                     Protocol.write_frame fd
-                       (Protocol.response_to_sexp
-                          (Protocol.Overloaded
-                             { inflight = n; limit = t.config.max_inflight }))
-                   with Unix.Unix_error _ -> ());
-                  release ()
-                end
-                else begin
-                  (try
-                     Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.idle_timeout_s
-                   with Unix.Unix_error _ -> ());
-                  Pool.async ?pool:t.pool (fun () ->
-                      Fun.protect ~finally:release (fun () -> handle_conn t fd))
-                end)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
-      (* Drain: stop accepting (the listen socket closes in [finally]),
-         then wait for admitted requests to settle. *)
-      let deadline = Trace.now_us () +. (t.config.drain_timeout_s *. 1e6) in
-      while Atomic.get t.inflight > 0 && Trace.now_us () < deadline do
-        Unix.sleepf 0.02
-      done;
-      if Atomic.get t.inflight > 0 then
-        Log.warn (fun m ->
-            m "drain timed out with %d request(s) in flight" (Atomic.get t.inflight))
+      let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+      Unix.set_nonblock wake_r;
+      Unix.set_nonblock wake_w;
+      let lock = Dmutex.create ~name:"server.handback" () in
+      let r =
+        {
+          conns = Hashtbl.create 64;
+          wake_r;
+          wake_w;
+          lock;
+          handback = Guarded.create ~name:"server.handback" ~locks:[ lock ] (Some []);
+        }
+      in
+      (* On [stop] the loop drains: it stops accepting, closes idle
+         connections, and waits up to [drain_timeout_s] for dispatched
+         solves and unwritten replies. *)
+      let unfinished =
+        match run_reactor t r lsock with
+        | () -> close_reactor t r
+        | exception e ->
+            ignore (close_reactor t r);
+            raise e
+      in
+      if unfinished > 0 then
+        Log.warn (fun m -> m "drain timed out with %d request(s) in flight" unfinished)
       else Log.app (fun m -> m "drained; shutting down");
       (* Persist the warm LRU after the drain settles, so the snapshot
          includes every request answered on this run. *)

@@ -33,14 +33,16 @@
       again after the solve.  A missed deadline replies [Timeout] (the
       solved plan still enters the cache, so the retry hits).
     + {b Solve} — {!Opprox.optimize} on a {!Opprox_util.Pool} worker
-      domain, coalesced per fingerprint through {!Singleflight}: under a
+      domain (everything above runs inline on the caller — for the
+      socket transport, the select loop), coalesced per fingerprint
+      through {!Singleflight}: under a
       hot-key storm, one request leads the solve
       ([server.singleflight.leaders]) and the duplicates park and share
       its reply ([server.singleflight.coalesced]).  Concurrent solves
       share nothing but the models (immutable after load) and the
       mutex-guarded caches.
 
-    The same path backs both transports: the Unix-domain-socket accept
+    The same path backs both transports: the Unix-domain-socket select
     loop ({!serve}) and the in-process loopback ({!handle}) that tests
     and the bench suite hammer without forking.
 
@@ -50,16 +52,23 @@
 
 type config = {
   jobs : int option;
-      (** worker domains for connection handling; [None] = the shared
-          {!Opprox_util.Pool.default} pool *)
-  max_inflight : int;  (** admission bound; default 64 *)
+      (** size of the pool that runs solves (cache misses and telemetry
+          re-solves); [None] = the shared {!Opprox_util.Pool.default}
+          pool.  Connections do not take a worker: with one job, solves
+          run on the select loop itself. *)
+  max_inflight : int;
+      (** admission bound, counted per open connection; default 64, at
+          most {!max_inflight_limit} *)
   cache_capacity : int;  (** plan-cache entries; default 512 *)
   cache_shards : int;  (** default 8 *)
   default_deadline_ms : float option;
       (** applied to requests that carry no deadline; default [None] *)
   idle_timeout_s : float;
-      (** receive timeout per connection, so an idle client cannot pin a
-          worker domain forever; default 30 s *)
+      (** a connection with no traffic in either direction for this long
+          is closed by the select loop's deadline sweep — so an idle
+          client, or one that stops reading its replies, cannot hold an
+          admission slot forever; a connection waiting on its solve is
+          never idle.  Default 30 s *)
   drain_timeout_s : float;
       (** bound on waiting for in-flight requests at shutdown; default 10 s *)
   corpus_path : string option;
@@ -73,6 +82,11 @@ type config = {
 
 val default_config : config
 
+val max_inflight_limit : int
+(** Largest accepted [max_inflight] (960): [select] watches only
+    descriptors below FD_SETSIZE (1024), and 64 are kept for the
+    daemon's other open files. *)
+
 type t
 
 val create : ?config:config -> Opprox.trained list -> t
@@ -81,7 +95,8 @@ val create : ?config:config -> Opprox.trained list -> t
     Error-severity findings raise
     {!Opprox_analysis.Diagnostic.Lint_error} — a corrupt model file must
     fail at startup, not per request.  Raises [Invalid_argument] on
-    duplicate app names, an empty list, or a non-positive bound. *)
+    duplicate app names, an empty list, or a [max_inflight] outside
+    [1 .. max_inflight_limit]. *)
 
 val apps : t -> string list
 (** Application names served, sorted. *)
@@ -108,14 +123,29 @@ val handle_telemetry : t -> Protocol.telemetry -> Protocol.response
     ([server.telemetry] / [server.plan_deltas] metrics). *)
 
 val serve : t -> socket:string -> unit
-(** Bind [socket] (an existing stale socket file is replaced), then
-    accept until {!stop}: each connection is handed to a pool worker,
-    which answers length-prefixed request frames sequentially until EOF
-    or idle timeout.  Admission is checked per accepted connection;
-    shed connections get one [Overloaded] frame and are closed.  On
-    {!stop}: stop accepting, close the listen socket, wait up to
-    [drain_timeout_s] for in-flight requests, remove the socket file,
-    return.  Raises [Unix.Unix_error] if the socket cannot be bound. *)
+(** Bind [socket] (an existing stale socket file is replaced), then serve
+    until {!stop} from one [select] loop on the calling domain.  The loop
+    watches the listen socket, every admitted connection, and a wake-up
+    pipe; an idle connection costs a file descriptor, never a domain.
+
+    Each connection keeps its own read buffer ({!Protocol.Splitter}): one
+    [read] per readable event, and a frame is handled only once it is
+    complete.  Validation and the corpus / LRU lookups run inline; a
+    miss (or a telemetry re-solve) goes to a pool worker, which writes
+    the reply itself and hands the connection back through the pipe.  A
+    connection's frames are answered in order — pipelined frames wait
+    for the solve ahead of them.  Replies are written non-blocking: a
+    client that does not read keeps at most one reply pending and is not
+    read from until it drains, so it never stalls other connections.
+
+    Admission is checked per accepted connection; shed connections get
+    one [Overloaded] frame and are closed.  Frame-level garbage gets an
+    [SRV004] reply, including a frame cut short by EOF.  SIGPIPE is
+    ignored, so a peer that hangs up costs only its own connection.  On
+    {!stop}: stop accepting, close idle connections at once, wait up to
+    [drain_timeout_s] for dispatched solves and unwritten replies, save
+    the cache snapshot, remove the socket file, return.  Raises
+    [Unix.Unix_error] if the socket cannot be bound. *)
 
 val stop : t -> unit
 (** Request shutdown — one atomic store, safe from a signal handler.

@@ -218,6 +218,45 @@ let test_frame_oversize () =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "expected Failure on oversized frame")
 
+(* The incremental splitter: frames that arrive a byte at a time, several
+   frames in one read, and the same failures as [read_frame]. *)
+let test_splitter () =
+  let frame text = Protocol.encode_frame (Opprox_util.Sexp.of_string text) in
+  with_socketpair (fun a b ->
+      let sp = Protocol.Splitter.create () in
+      let one = frame "((app toy) (budget 10))" in
+      String.iteri
+        (fun i ch ->
+          check_bool "no frame before the last byte" true (Protocol.Splitter.next sp = None);
+          ignore (Unix.write_substring a (String.make 1 ch) 0 1);
+          check_int (Printf.sprintf "byte %d" i) 1 (Protocol.Splitter.read sp b))
+        one;
+      check_bool "frame once complete" true (Protocol.Splitter.next sp <> None);
+      check_bool "buffer consumed" true (Protocol.Splitter.next sp = None);
+      (* Two frames and the start of a third in one read. *)
+      let third = frame "((app toy) (budget 30))" in
+      let burst = frame "((budget 1))" ^ frame "((budget 2))" ^ String.sub third 0 7 in
+      ignore (Unix.write_substring a burst 0 (String.length burst));
+      check_int "one read" (String.length burst) (Protocol.Splitter.read sp b);
+      check_bool "first" true (Protocol.Splitter.next sp <> None);
+      check_bool "second" true (Protocol.Splitter.next sp <> None);
+      check_bool "third incomplete" true (Protocol.Splitter.next sp = None);
+      Unix.shutdown a Unix.SHUTDOWN_SEND;
+      check_int "EOF" 0 (Protocol.Splitter.read sp b);
+      match Protocol.Splitter.finish sp with
+      | () -> Alcotest.fail "expected Failure on a partial frame at EOF"
+      | exception Failure msg ->
+          Alcotest.(check string) "message"
+            (Printf.sprintf "frame truncated (3 of %d payload bytes)" (String.length third - 4))
+            msg);
+  with_socketpair (fun a b ->
+      let sp = Protocol.Splitter.create () in
+      ignore (Unix.write a (Bytes.make 4 '\255') 0 4);
+      ignore (Protocol.Splitter.read sp b);
+      match Protocol.Splitter.next sp with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.fail "expected Failure on an oversized length prefix")
+
 (* ---------------------------------------------------------------- server *)
 
 let make_server ?config () = Server.create ?config [ Lazy.force trained ]
@@ -364,7 +403,18 @@ let test_create_rejects_duplicates () =
     (Invalid_argument "Server.create: duplicate models for toy") (fun () ->
       ignore (Server.create [ tr; tr ]));
   Alcotest.check_raises "empty" (Invalid_argument "Server.create: no trained pipelines")
-    (fun () -> ignore (Server.create []))
+    (fun () -> ignore (Server.create []));
+  (* select cannot watch descriptors at or above FD_SETSIZE. *)
+  Alcotest.check_raises "max_inflight past FD_SETSIZE"
+    (Invalid_argument
+       "Server.create: max_inflight must be <= 960 (select watches descriptors below 1024)")
+    (fun () ->
+      ignore
+        (Server.create ~config:{ Server.default_config with Server.max_inflight = 5000 } [ tr ]));
+  ignore
+    (Server.create
+       ~config:{ Server.default_config with Server.max_inflight = Server.max_inflight_limit }
+       [ tr ])
 
 (* -------------------------------------------------------- socket end-to-end *)
 
@@ -436,6 +486,179 @@ let test_socket_end_to_end () =
           | resp -> Alcotest.fail ("expected SRV004, got " ^ code_of resp)));
   check_bool "socket file removed at shutdown" false (Sys.file_exists socket)
 
+(* ------------------------------------------------------- connection handling *)
+
+(* A daemon on a temp socket for the length of [f], stopped and joined
+   afterwards.  [jobs = Some 2] gives the pool a single worker, which is
+   what the daemon runs with under [opprox serve -j 2]. *)
+let with_daemon ?(config = { Server.default_config with Server.jobs = Some 2 }) f =
+  let socket = temp_socket () in
+  let server = make_server ~config () in
+  let daemon = Domain.spawn (fun () -> Server.serve server ~socket) in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop server;
+      Domain.join daemon)
+    (fun () ->
+      Client.close (connect_retry ~socket 100);
+      f server socket)
+
+(* A raw client socket whose reads give up after [timeout] seconds, so a
+   stalled daemon fails the test instead of hanging it. *)
+let raw_connect ?(timeout = 1.0) socket =
+  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+  fd
+
+let with_raw ?timeout socket f =
+  let fd = raw_connect ?timeout socket in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) (fun () -> f fd)
+
+let read_reply fd =
+  match Protocol.read_frame fd with
+  | Some sexp -> Protocol.response_of_sexp sexp
+  | None -> Alcotest.fail "connection closed without a reply"
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.fail "no reply before the client's receive timeout"
+
+let request_frame ?no_cache budget =
+  Protocol.encode_frame (Protocol.request_to_sexp (Protocol.request ?no_cache ~app:"toy" ~budget ()))
+
+let write_string fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* One request on a fresh connection, answered within [within] seconds. *)
+let expect_plan_within ?(within = 1.0) socket budget =
+  with_raw ~timeout:within socket (fun fd ->
+      let t0 = Unix.gettimeofday () in
+      write_string fd (request_frame budget);
+      (match read_reply fd with
+      | Protocol.Plan _ -> ()
+      | resp -> Alcotest.fail ("expected Plan, got " ^ code_of resp));
+      let dt = Unix.gettimeofday () -. t0 in
+      check_bool (Printf.sprintf "answered in %.3f s (< %.1f s)" dt within) true (dt < within))
+
+(* Give the daemon time to accept a connection just opened. *)
+let settle_accept () = Unix.sleepf 0.1
+
+let test_idle_conn_does_not_stall () =
+  with_daemon (fun _ socket ->
+      with_raw socket (fun _idle ->
+          settle_accept ();
+          expect_plan_within socket 10.0;
+          expect_plan_within socket 10.0))
+
+let test_peer_hangup () =
+  with_daemon (fun _ socket ->
+      (* An uncached solve whose client is gone before the reply: the
+         write fails with EPIPE, which must not kill the process. *)
+      with_raw socket (fun fd -> write_string fd (request_frame ~no_cache:true 7.0));
+      Unix.sleepf 0.2;
+      expect_plan_within socket 10.0)
+
+let test_unread_replies_do_not_stall () =
+  with_daemon (fun _ socket ->
+      expect_plan_within socket 10.0;
+      with_raw socket (fun flood ->
+          (* Pipeline cache hits without ever reading: replies back up
+             until the daemon's writes to this client would block. *)
+          Unix.set_nonblock flood;
+          let frame = request_frame 10.0 in
+          let rec go off frames stalls =
+            if frames < 100_000 && stalls < 5 then
+              match
+                Unix.single_write_substring flood frame off (String.length frame - off)
+              with
+              | n when off + n = String.length frame -> go 0 (frames + 1) 0
+              | n -> go (off + n) frames 0
+              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                  Unix.sleepf 0.02;
+                  go off frames (stalls + 1)
+            else frames
+          in
+          let frames = go 0 0 0 in
+          check_bool (Printf.sprintf "flood backed up (%d frames)" frames) true (frames < 100_000);
+          expect_plan_within socket 10.0))
+
+let test_split_frame () =
+  with_daemon (fun _ socket ->
+      with_raw socket (fun fd ->
+          let frame = request_frame 10.0 in
+          let cut = 10 in
+          write_string fd (String.sub frame 0 cut);
+          settle_accept ();
+          (* Half a frame must not hold the loop. *)
+          expect_plan_within socket 12.0;
+          Unix.sleepf 0.1;
+          write_string fd (String.sub frame cut (String.length frame - cut));
+          match read_reply fd with
+          | Protocol.Plan { plan; _ } -> check_float "budget" 10.0 plan.Opprox.Optimizer.budget
+          | resp -> Alcotest.fail ("expected Plan, got " ^ code_of resp)))
+
+let test_eof_mid_frame () =
+  with_daemon (fun _ socket ->
+      let frame = request_frame 10.0 in
+      List.iter
+        (fun (what, cut) ->
+          with_raw socket (fun fd ->
+              write_string fd (String.sub frame 0 cut);
+              Unix.shutdown fd Unix.SHUTDOWN_SEND;
+              match read_reply fd with
+              | Protocol.Error (d :: _) -> Alcotest.(check string) what "SRV004" d.Diagnostic.code
+              | resp -> Alcotest.fail (what ^ ": expected SRV004, got " ^ code_of resp)))
+        [ ("EOF in the length prefix", 2); ("EOF in the payload", 10) ])
+
+let test_pipelined_in_order () =
+  with_daemon (fun _ socket ->
+      let client = connect_retry ~socket 100 in
+      Fun.protect
+        ~finally:(fun () -> Client.close client)
+        (fun () ->
+          (* Two solves on the worker with an inline rejection between
+             them: replies come back in request order. *)
+          let budgets = [ 11.0; 150.0; 13.0; 11.0 ] in
+          let replies =
+            Client.batch client
+              (List.map (fun budget -> Protocol.request ~app:"toy" ~budget ()) budgets)
+          in
+          List.iter2
+            (fun budget reply ->
+              match reply with
+              | Protocol.Plan { plan; _ } ->
+                  check_float "reply order" budget plan.Opprox.Optimizer.budget
+              | Protocol.Error (d :: _) when budget > 100.0 ->
+                  Alcotest.(check string) "rejected in place" "SRV001" d.Diagnostic.code
+              | resp -> Alcotest.fail ("unexpected " ^ code_of resp))
+            budgets replies))
+
+let test_idle_timeout () =
+  let config =
+    { Server.default_config with Server.jobs = Some 2; idle_timeout_s = 0.2 }
+  in
+  with_daemon ~config (fun server socket ->
+      with_raw ~timeout:2.0 socket (fun fd ->
+          let t0 = Unix.gettimeofday () in
+          check_bool "closed by the daemon" true (Protocol.read_frame fd = None);
+          check_bool "after the idle timeout" true (Unix.gettimeofday () -. t0 >= 0.15));
+      Unix.sleepf 0.1;
+      check_int "admission slot released" 0 (Server.inflight server))
+
+let test_stop_with_idle_conn () =
+  let socket = temp_socket () in
+  let server =
+    make_server ~config:{ Server.default_config with Server.jobs = Some 2; drain_timeout_s = 5.0 } ()
+  in
+  let daemon = Domain.spawn (fun () -> Server.serve server ~socket) in
+  Client.close (connect_retry ~socket 100);
+  with_raw ~timeout:2.0 socket (fun idle ->
+      settle_accept ();
+      let t0 = Unix.gettimeofday () in
+      Server.stop server;
+      Domain.join daemon;
+      let dt = Unix.gettimeofday () -. t0 in
+      check_bool (Printf.sprintf "stop returned in %.3f s" dt) true (dt < 1.0);
+      check_bool "idle connection closed" true (Protocol.read_frame idle = None))
+
 let suite =
   [
     ( "plancache",
@@ -453,6 +676,7 @@ let suite =
         Alcotest.test_case "frame roundtrip + EOF" `Quick test_frame_roundtrip;
         Alcotest.test_case "truncated frame" `Quick test_frame_truncation;
         Alcotest.test_case "oversized frame" `Quick test_frame_oversize;
+        Alcotest.test_case "incremental splitter" `Quick test_splitter;
       ] );
     ( "serve-server",
       [
@@ -464,5 +688,18 @@ let suite =
         Alcotest.test_case "concurrent handles" `Quick test_concurrent_handles;
         Alcotest.test_case "create validation" `Quick test_create_rejects_duplicates;
         Alcotest.test_case "socket end-to-end" `Quick test_socket_end_to_end;
+      ] );
+    ( "serve-connections",
+      [
+        Alcotest.test_case "idle connection does not stall" `Quick
+          test_idle_conn_does_not_stall;
+        Alcotest.test_case "peer hang-up before reply" `Quick test_peer_hangup;
+        Alcotest.test_case "unread replies do not stall" `Quick
+          test_unread_replies_do_not_stall;
+        Alcotest.test_case "frame split across writes" `Quick test_split_frame;
+        Alcotest.test_case "EOF mid-frame gets SRV004" `Quick test_eof_mid_frame;
+        Alcotest.test_case "pipelined replies in order" `Quick test_pipelined_in_order;
+        Alcotest.test_case "idle timeout closes" `Quick test_idle_timeout;
+        Alcotest.test_case "stop with an idle connection" `Quick test_stop_with_idle_conn;
       ] );
   ]
