@@ -1,12 +1,24 @@
-let normal_equations ?(ridge = 0.0) x y =
+(* Ridge-stabilized normal equations [(X'X + ridge I) w = X'y], escalating
+   the penalty geometrically from [ridge] until the solve succeeds.  X'X
+   and X'y are formed once; each attempt adds its penalty to a copy of the
+   diagonal only, since adding the zeros off it would change no entry
+   (X'X, summed from +0., holds no -0.). *)
+let normal_equations ~ridge x y =
   let xt = Matrix.transpose x in
-  let xtx = Matrix.mul xt x in
+  let xtx = Matrix.mul xt x and rhs = Matrix.mul_vec xt y in
   let n = Matrix.rows xtx in
-  let lhs =
-    if ridge = 0.0 then xtx else Matrix.add xtx (Matrix.scale (Matrix.identity n) ridge)
+  let rec attempt ridge =
+    let lhs = Matrix.copy xtx in
+    for i = 0 to n - 1 do
+      Matrix.set lhs i i (Matrix.get xtx i i +. ridge)
+    done;
+    match Matrix.solve lhs rhs with
+    | w -> w
+    | exception Failure _ ->
+        let next = ridge *. 100.0 in
+        if next > 1.0 then failwith "Lstsq.fit: singular even with ridge" else attempt next
   in
-  let rhs = Matrix.mul_vec xt y in
-  Matrix.solve lhs rhs
+  attempt ridge
 
 let fit_diag ?(ridge = 0.0) x y =
   if Matrix.rows x <> Array.length y then invalid_arg "Lstsq.fit: dimension mismatch";
@@ -29,16 +41,7 @@ let fit_diag ?(ridge = 0.0) x y =
   in
   match qr_solution with
   | Some w -> (w, r_diag)
-  | None ->
-      let rec attempt ridge =
-        match normal_equations ~ridge x y with
-        | w -> w
-        | exception Failure _ ->
-            let next = if ridge = 0.0 then 1e-8 else ridge *. 100.0 in
-            if next > 1.0 then failwith "Lstsq.fit: singular even with ridge"
-            else attempt next
-      in
-      (attempt (Float.max ridge 1e-8), r_diag)
+  | None -> (normal_equations ~ridge:(Float.max ridge 1e-8) x y, r_diag)
 
 let fit ?ridge x y = fst (fit_diag ?ridge x y)
 

@@ -1,5 +1,10 @@
 type t = { nrows : int; ncols : int; data : float array }
 
+(* Unchecked access for the innermost loops of {!mul} and {!solve}, whose
+   indices stay in range by construction. *)
+external ( .!() ) : float array -> int -> float = "%array_unsafe_get"
+external ( .!()<- ) : float array -> int -> float -> unit = "%array_unsafe_set"
+
 let create nrows ncols =
   if nrows <= 0 || ncols <= 0 then invalid_arg "Matrix.create: non-positive dimension";
   { nrows; ncols; data = Array.make (nrows * ncols) 0.0 }
@@ -34,24 +39,51 @@ let of_rows arr =
     arr;
   init nrows ncols (fun i j -> arr.(i).(j))
 
+let init_rows nrows ncols fill =
+  let m = create nrows ncols in
+  let row = Array.make ncols 0.0 in
+  for i = 0 to nrows - 1 do
+    fill i row;
+    Array.blit row 0 m.data (i * ncols) ncols
+  done;
+  m
+
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
 let row m i = Array.init m.ncols (fun j -> get m i j)
-let col m j = Array.init m.nrows (fun i -> get m i j)
 
-let transpose m = init m.ncols m.nrows (fun i j -> get m j i)
+let col m j =
+  if j < 0 || j >= m.ncols then invalid_arg "Matrix.col: out of bounds";
+  let c = Array.make m.nrows 0.0 in
+  for i = 0 to m.nrows - 1 do
+    c.(i) <- m.data.((i * m.ncols) + j)
+  done;
+  c
+
+let transpose m =
+  let t = create m.ncols m.nrows in
+  for i = 0 to m.nrows - 1 do
+    for j = 0 to m.ncols - 1 do
+      t.data.((j * m.nrows) + i) <- m.data.((i * m.ncols) + j)
+    done
+  done;
+  t
 
 let mul a b =
   if a.ncols <> b.nrows then invalid_arg "Matrix.mul: dimension mismatch";
-  let c = create a.nrows b.ncols in
+  let inner = a.ncols and p = b.ncols in
+  let c = create a.nrows p in
+  let ad = a.data and bd = b.data and cd = c.data in
   for i = 0 to a.nrows - 1 do
-    for k = 0 to a.ncols - 1 do
-      let aik = a.data.((i * a.ncols) + k) in
-      if aik <> 0.0 then
-        for j = 0 to b.ncols - 1 do
-          c.data.((i * c.ncols) + j) <-
-            c.data.((i * c.ncols) + j) +. (aik *. b.data.((k * b.ncols) + j))
+    let ai = i * inner and ci = i * p in
+    for k = 0 to inner - 1 do
+      let aik = ad.(ai + k) in
+      if aik <> 0.0 then begin
+        let off = (k * p) - ci in
+        for j = ci to ci + p - 1 do
+          cd.!(j) <- cd.!(j) +. (aik *. bd.!(j + off))
         done
+      end
     done
   done;
   c
@@ -77,40 +109,45 @@ let solve a b =
   if a.nrows <> a.ncols then invalid_arg "Matrix.solve: matrix not square";
   if a.nrows <> Array.length b then invalid_arg "Matrix.solve: rhs dimension mismatch";
   let n = a.nrows in
-  let m = copy a and x = Array.copy b in
+  (* Row-major working copy, entry (i, j) at [m.((i * n) + j)]. *)
+  let m = Array.copy a.data and x = Array.copy b in
   for k = 0 to n - 1 do
+    let rk = k * n in
     (* Partial pivoting: pick the row with the largest entry in column k. *)
     let pivot = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs (get m i k) > Float.abs (get m !pivot k) then pivot := i
+      if Float.abs m.((i * n) + k) > Float.abs m.((!pivot * n) + k) then pivot := i
     done;
-    if Float.abs (get m !pivot k) < 1e-12 then failwith "Matrix.solve: singular";
+    let rp = !pivot * n in
+    if Float.abs m.(rp + k) < 1e-12 then failwith "Matrix.solve: singular";
     if !pivot <> k then begin
       for j = 0 to n - 1 do
-        let tmp = get m k j in
-        set m k j (get m !pivot j);
-        set m !pivot j tmp
+        let tmp = m.(rk + j) in
+        m.(rk + j) <- m.(rp + j);
+        m.(rp + j) <- tmp
       done;
       let tmp = x.(k) in
       x.(k) <- x.(!pivot);
       x.(!pivot) <- tmp
     end;
     for i = k + 1 to n - 1 do
-      let factor = get m i k /. get m k k in
+      let ri = i * n in
+      let factor = m.(ri + k) /. m.(rk + k) in
       if factor <> 0.0 then begin
         for j = k to n - 1 do
-          set m i j (get m i j -. (factor *. get m k j))
+          m.!(ri + j) <- m.!(ri + j) -. (factor *. m.!(rk + j))
         done;
         x.(i) <- x.(i) -. (factor *. x.(k))
       end
     done
   done;
   for i = n - 1 downto 0 do
+    let ri = i * n in
     let acc = ref x.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (get m i j *. x.(j))
+      acc := !acc -. (m.(ri + j) *. x.(j))
     done;
-    x.(i) <- !acc /. get m i i
+    x.(i) <- !acc /. m.(ri + i)
   done;
   x
 

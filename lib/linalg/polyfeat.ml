@@ -1,29 +1,27 @@
 type t = { arity : int; degree : int; exponents : int array array }
 
 (* Enumerate exponent vectors with total degree <= d, graded order:
-   constant first, then degree 1 monomials, etc. *)
+   constant first, then degree 1 monomials, etc.; within one degree,
+   lexicographic in (e1, ..., ek). *)
 let enumerate_exponents arity degree =
   let acc = ref [] in
   let current = Array.make arity 0 in
+  (* Exponents for positions [pos..] summing to exactly [remaining]. *)
   let rec go pos remaining =
-    if pos = arity then acc := Array.copy current :: !acc
+    if pos = arity - 1 then begin
+      current.(pos) <- remaining;
+      acc := Array.copy current :: !acc
+    end
     else
       for e = 0 to remaining do
         current.(pos) <- e;
-        go (pos + 1) (remaining - e);
-        current.(pos) <- 0
+        go (pos + 1) (remaining - e)
       done
   in
-  go 0 degree;
-  let all = Array.of_list (List.rev !acc) in
-  let total v = Array.fold_left ( + ) 0 v in
-  (* Stable sort by total degree keeps a deterministic, readable order. *)
-  let indexed = Array.mapi (fun i v -> (i, v)) all in
-  Array.sort
-    (fun (i, a) (j, b) ->
-      match compare (total a) (total b) with 0 -> compare i j | c -> c)
-    indexed;
-  Array.map snd indexed
+  for total = 0 to degree do
+    go 0 total
+  done;
+  Array.of_list (List.rev !acc)
 
 let create ?caps ~arity ~degree () =
   if arity < 1 then invalid_arg "Polyfeat.create: arity must be >= 1";
@@ -34,13 +32,12 @@ let create ?caps ~arity ~degree () =
     | None -> exponents
     | Some caps ->
         if Array.length caps <> arity then invalid_arg "Polyfeat.create: caps arity mismatch";
-        Array.of_seq
-          (Seq.filter
-             (fun expv ->
-               let ok = ref true in
-               Array.iteri (fun j e -> if e > caps.(j) then ok := false) expv;
-               !ok)
-             (Array.to_seq exponents))
+        let within expv =
+          let ok = ref true in
+          Array.iteri (fun j e -> if e > caps.(j) then ok := false) expv;
+          !ok
+        in
+        Array.of_list (List.filter within (Array.to_list exponents))
   in
   { arity; degree; exponents }
 
@@ -88,5 +85,42 @@ let apply t raw =
   out
 
 let design_matrix t rows =
-  if Array.length rows = 0 then invalid_arg "Polyfeat.design_matrix: no rows";
-  Matrix.of_rows (Array.map (apply t) rows)
+  let n = Array.length rows in
+  if n = 0 then invalid_arg "Polyfeat.design_matrix: no rows";
+  (* Per row, [powers.(base.(i) + e)] holds [pow raw.(i) e] for every
+     exponent [e >= 1] feature [i] takes, and monomial [m] multiplies the
+     powers at [slots.(m)], in feature order from 1.0: the very product
+     {!apply_into} forms, with each power computed once per row. *)
+  let max_exp = Array.make t.arity 0 in
+  Array.iter (Array.iteri (fun i e -> if e > max_exp.(i) then max_exp.(i) <- e)) t.exponents;
+  let base = Array.make t.arity 0 in
+  for i = 1 to t.arity - 1 do
+    base.(i) <- base.(i - 1) + max_exp.(i - 1) + 1
+  done;
+  let powers = Array.make (base.(t.arity - 1) + max_exp.(t.arity - 1) + 1) 1.0 in
+  let slots =
+    Array.map
+      (fun expv ->
+        let nonzero = ref [] in
+        for i = t.arity - 1 downto 0 do
+          if expv.(i) > 0 then nonzero := (base.(i) + expv.(i)) :: !nonzero
+        done;
+        Array.of_list !nonzero)
+      t.exponents
+  in
+  Matrix.init_rows n (Array.length slots) (fun r out ->
+      let raw = rows.(r) in
+      if Array.length raw <> t.arity then invalid_arg "Polyfeat.design_matrix: arity mismatch";
+      for i = 0 to t.arity - 1 do
+        for e = 1 to max_exp.(i) do
+          powers.(base.(i) + e) <- pow raw.(i) e
+        done
+      done;
+      for m = 0 to Array.length slots - 1 do
+        let slot = slots.(m) in
+        let acc = ref 1.0 in
+        for s = 0 to Array.length slot - 1 do
+          acc := !acc *. powers.(slot.(s))
+        done;
+        out.(m) <- !acc
+      done)

@@ -19,7 +19,8 @@ val arity : t -> int
 val degree : t -> int
 
 val output_dim : t -> int
-(** Number of monomials, i.e. [C(arity + degree, degree)]. *)
+(** Number of monomials: [C(arity + degree, degree)] when no [caps] were
+    given, fewer when caps filter some out. *)
 
 val of_exponents : int array array -> t
 (** Rebuild a feature map from explicit exponent vectors (deserialization).
@@ -43,4 +44,6 @@ val apply_into : t -> float array -> float array -> unit
 
 val design_matrix : t -> float array array -> Matrix.t
 (** Expand a batch of raw feature vectors into a design matrix with one
-    expanded row per input row. *)
+    expanded row per input row; row [i] is bit-identical to
+    [apply t rows.(i)].  Raises [Invalid_argument] on an empty batch or
+    arity mismatch. *)

@@ -70,28 +70,38 @@ let standardize_params rows =
 let apply_standardize ~means ~scales row =
   Array.mapi (fun j x -> (x -. means.(j)) /. scales.(j)) row
 
-let distinct_counts rows =
-  let arity = Array.length rows.(0) in
-  Array.init arity (fun j ->
-      let col = Array.map (fun r -> r.(j)) rows in
-      let sorted = Array.copy col in
-      Array.sort compare sorted;
-      let count = ref 1 in
-      for i = 1 to Array.length sorted - 1 do
-        if sorted.(i) <> sorted.(i - 1) then incr count
-      done;
-      !count)
+(* Number of distinct values in column [j] of [rows], counted only up to
+   [limit] when given.  Float [=] makes -0. and 0. one value and every NaN
+   its own.  Each value is checked against those seen so far: cheap for
+   the handful [fit_single] needs on every fit; quadratic at worst for the
+   uncapped split choice, which runs once per escalation that misses its
+   target. *)
+let distinct_count ?(limit = max_int) rows j =
+  let n = Array.length rows in
+  let seen = Array.make (Stdlib.min limit n) 0.0 in
+  let count = ref 0 and i = ref 0 in
+  while !count < limit && !i < n do
+    let v = rows.(!i).(j) in
+    let rec known s = s < !count && (seen.(s) = v || known (s + 1)) in
+    if not (known 0) then begin
+      seen.(!count) <- v;
+      incr count
+    end;
+    incr i
+  done;
+  !count
 
 let fit_single ~ridge ~degree rows targets =
   let means, scales = standardize_params rows in
   let std_rows = Array.map (apply_standardize ~means ~scales) rows in
   (* A feature seen at k distinct values identifies powers up to k-1 only;
-     higher powers oscillate between the observed values. *)
-  let caps = Array.map (fun k -> k - 1) (distinct_counts rows) in
-  let feat = Polyfeat.create ~caps ~arity:(Array.length rows.(0)) ~degree () in
+     higher powers oscillate between the observed values.  A cap at or
+     above [degree] filters nothing, so counting stops at [degree + 1]. *)
+  let arity = Array.length rows.(0) in
+  let caps = Array.init arity (fun j -> distinct_count ~limit:(degree + 1) rows j - 1) in
+  let feat = Polyfeat.create ~caps ~arity ~degree () in
   let x = Polyfeat.design_matrix feat std_rows in
   let weights, r_diag = Lstsq.fit_diag ~ridge x targets in
-  let arity = Array.length rows.(0) in
   (* Allowed prediction range: the training range plus a 25% margin, so
      mild extrapolation stays polynomial while far-out queries clamp. *)
   let lo = Array.init arity (fun j -> Array.fold_left (fun a r -> Float.min a r.(j)) infinity rows) in
@@ -162,16 +172,7 @@ let escalate ~config ~rng rows targets =
 (* Pick the screened feature with the most distinct values to split on. *)
 let pick_split_feature rows =
   let arity = Array.length rows.(0) in
-  let distinct j =
-    let col = Array.map (fun r -> r.(j)) rows in
-    let sorted = Array.copy col in
-    Array.sort compare sorted;
-    let count = ref 1 in
-    for i = 1 to Array.length sorted - 1 do
-      if sorted.(i) <> sorted.(i - 1) then incr count
-    done;
-    !count
-  in
+  let distinct = distinct_count rows in
   let best = ref 0 and best_count = ref (distinct 0) in
   for j = 1 to arity - 1 do
     let c = distinct j in
@@ -227,9 +228,15 @@ let rec fit_body ~config ~rng rows targets =
           | exception Failure _ -> fallback ()
         end
 
-(* Held-out residuals: one extra k-fold pass refitting the selected model
-   shape on each fold — the honest residual distribution for confidence
-   intervals (training residuals of a flexible fit are near zero). *)
+(* Held-out residuals by nested cross-validation: an outer k-fold pass
+   that, on each fold's training part, re-runs [fit_fn] and keeps the
+   residuals on the held-out part.  {!fit} passes the whole degree
+   escalation (without splits), so every outer fold repeats the inner
+   k-fold CV for each degree tried.  The honest residual distribution
+   for confidence intervals (training residuals of a flexible fit are near
+   zero), and the bulk of the fitting cost: with k = 10, a model whose
+   escalation tries D degrees takes about 10 (10 D + 1) least-squares fits
+   here against 10 D + 1 for the model itself. *)
 let cv_residuals ~config ~rng fit_fn predict_fn rows targets =
   let n = Array.length rows in
   let k = Stdlib.min config.folds (Stdlib.max 2 (n / 2)) in

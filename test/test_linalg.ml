@@ -283,6 +283,330 @@ let prop_polyfeat_product_structure =
         (fun v e -> Float.abs (v -. ((x ** float_of_int e.(0)) *. (y ** float_of_int e.(1)))) < 1e-9)
         out exps)
 
+(* ------------------------------------------- bitwise reference kernels *)
+
+(* The row-major kernels the least-squares path used before it was
+   reworked for speed, kept verbatim apart from reading the matrix through
+   its public accessors.  The rework promises every output element the same
+   float operations in the same order, so fitted models stay byte-identical;
+   the properties below hold it to that bit for bit. *)
+module Ref = struct
+  type qr = { m : int; n : int; a : float array array; beta : float array; v0 : float array }
+
+  let qr_decompose matrix =
+    let m = Matrix.rows matrix and n = Matrix.cols matrix in
+    let a = Array.init m (fun i -> Array.init n (fun j -> Matrix.get matrix i j)) in
+    let beta = Array.make n 0.0 and v0 = Array.make n 0.0 in
+    for k = 0 to n - 1 do
+      let norm = ref 0.0 in
+      for i = k to m - 1 do
+        norm := !norm +. (a.(i).(k) *. a.(i).(k))
+      done;
+      let norm = sqrt !norm in
+      if norm > 0.0 then begin
+        let alpha = if a.(k).(k) >= 0.0 then -.norm else norm in
+        let v_head = a.(k).(k) -. alpha in
+        let vtv = ref (v_head *. v_head) in
+        for i = k + 1 to m - 1 do
+          vtv := !vtv +. (a.(i).(k) *. a.(i).(k))
+        done;
+        if !vtv > 0.0 then begin
+          let b = 2.0 /. !vtv in
+          beta.(k) <- b;
+          v0.(k) <- v_head;
+          for j = k to n - 1 do
+            let dot = ref (v_head *. a.(k).(j)) in
+            for i = k + 1 to m - 1 do
+              dot := !dot +. (a.(i).(k) *. a.(i).(j))
+            done;
+            let s = b *. !dot in
+            a.(k).(j) <- a.(k).(j) -. (s *. v_head);
+            for i = k + 1 to m - 1 do
+              if j = k then () else a.(i).(j) <- a.(i).(j) -. (s *. a.(i).(k))
+            done
+          done;
+          a.(k).(k) <- alpha
+        end
+      end
+    done;
+    { m; n; a; beta; v0 }
+
+  let qr_r_diag t = Array.init t.n (fun i -> t.a.(i).(i))
+
+  let qr_rank_deficient t =
+    let diag = Array.init t.n (fun i -> Float.abs t.a.(i).(i)) in
+    let largest = Array.fold_left Float.max 0.0 diag in
+    largest = 0.0 || Array.exists (fun d -> d < 1e-10 *. largest) diag
+
+  let qr_solve t b =
+    let y = Array.copy b in
+    for k = 0 to t.n - 1 do
+      if t.beta.(k) <> 0.0 then begin
+        let dot = ref (t.v0.(k) *. y.(k)) in
+        for i = k + 1 to t.m - 1 do
+          dot := !dot +. (t.a.(i).(k) *. y.(i))
+        done;
+        let s = t.beta.(k) *. !dot in
+        y.(k) <- y.(k) -. (s *. t.v0.(k));
+        for i = k + 1 to t.m - 1 do
+          y.(i) <- y.(i) -. (s *. t.a.(i).(k))
+        done
+      end
+    done;
+    let x = Array.make t.n 0.0 in
+    for i = t.n - 1 downto 0 do
+      let acc = ref y.(i) in
+      for j = i + 1 to t.n - 1 do
+        acc := !acc -. (t.a.(i).(j) *. x.(j))
+      done;
+      if Float.abs t.a.(i).(i) < 1e-12 then failwith "Qr.solve: rank deficient";
+      x.(i) <- !acc /. t.a.(i).(i)
+    done;
+    x
+
+  let matrix_mul a b =
+    let c = Matrix.create (Matrix.rows a) (Matrix.cols b) in
+    for i = 0 to Matrix.rows a - 1 do
+      for k = 0 to Matrix.cols a - 1 do
+        let aik = Matrix.get a i k in
+        if aik <> 0.0 then
+          for j = 0 to Matrix.cols b - 1 do
+            Matrix.set c i j (Matrix.get c i j +. (aik *. Matrix.get b k j))
+          done
+      done
+    done;
+    c
+
+  let matrix_solve a b =
+    let n = Matrix.rows a in
+    let m = Matrix.copy a and x = Array.copy b in
+    let get = Matrix.get m and set = Matrix.set m in
+    for k = 0 to n - 1 do
+      let pivot = ref k in
+      for i = k + 1 to n - 1 do
+        if Float.abs (get i k) > Float.abs (get !pivot k) then pivot := i
+      done;
+      if Float.abs (get !pivot k) < 1e-12 then failwith "Matrix.solve: singular";
+      if !pivot <> k then begin
+        for j = 0 to n - 1 do
+          let tmp = get k j in
+          set k j (get !pivot j);
+          set !pivot j tmp
+        done;
+        let tmp = x.(k) in
+        x.(k) <- x.(!pivot);
+        x.(!pivot) <- tmp
+      end;
+      for i = k + 1 to n - 1 do
+        let factor = get i k /. get k k in
+        if factor <> 0.0 then begin
+          for j = k to n - 1 do
+            set i j (get i j -. (factor *. get k j))
+          done;
+          x.(i) <- x.(i) -. (factor *. x.(k))
+        end
+      done
+    done;
+    for i = n - 1 downto 0 do
+      let acc = ref x.(i) in
+      for j = i + 1 to n - 1 do
+        acc := !acc -. (get i j *. x.(j))
+      done;
+      x.(i) <- !acc /. get i i
+    done;
+    x
+
+  let normal_equations ?(ridge = 0.0) x y =
+    let xt = Matrix.transpose x in
+    let xtx = matrix_mul xt x in
+    let n = Matrix.rows xtx in
+    let lhs =
+      if ridge = 0.0 then xtx else Matrix.add xtx (Matrix.scale (Matrix.identity n) ridge)
+    in
+    let rhs = Matrix.mul_vec xt y in
+    matrix_solve lhs rhs
+
+  let fit_diag ?(ridge = 0.0) x y =
+    let r_diag, qr_solution =
+      if Matrix.rows x >= Matrix.cols x then begin
+        let qr = qr_decompose x in
+        let solution =
+          if qr_rank_deficient qr then None
+          else match qr_solve qr y with w -> Some w | exception Failure _ -> None
+        in
+        (qr_r_diag qr, solution)
+      end
+      else ([||], None)
+    in
+    match qr_solution with
+    | Some w -> (w, r_diag)
+    | None ->
+        let rec attempt ridge =
+          match normal_equations ~ridge x y with
+          | w -> w
+          | exception Failure _ ->
+              let next = if ridge = 0.0 then 1e-8 else ridge *. 100.0 in
+              if next > 1.0 then failwith "Lstsq.fit: singular even with ridge"
+              else attempt next
+        in
+        (attempt (Float.max ridge 1e-8), r_diag)
+end
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* Same bits, or the same [Failure]. *)
+let same_outcome f g =
+  let run h = match h () with v -> Ok (bits v) | exception Failure m -> Error m in
+  run f = run g
+
+(* A random matrix exercising the kernels' branches: entries spread over
+   [scale], a share of exact zeros (the product's skipped terms), and
+   optionally some columns duplicated so the design is rank-deficient. *)
+let wild_matrix rng ~rows ~cols ~scale ~dup =
+  let m =
+    Matrix.init rows cols (fun _ _ ->
+        if Rng.int rng 5 = 0 then 0.0 else scale *. Rng.range rng (-1.0) 1.0)
+  in
+  for _ = 1 to dup do
+    if cols >= 2 then begin
+      let src = Rng.int rng cols and dst = Rng.int rng cols in
+      for i = 0 to rows - 1 do
+        Matrix.set m i dst (Matrix.get m i src)
+      done
+    end
+  done;
+  m
+
+let shape_gen =
+  (* seed, rows, cols, duplicated columns, log10 of the entry scale *)
+  QCheck.(
+    map
+      (fun (seed, (rows, cols), dup, e) -> (seed, rows, cols, dup, e))
+      (quad small_nat
+         (pair (int_range 1 40) (int_range 1 16))
+         (int_range 0 3) (int_range (-6) 6)))
+
+let prop_qr_bitwise =
+  qcheck_case ~count:300 "qr decompose/solve/r_diag bitwise as reference" shape_gen
+    (fun (seed, rows, cols, dup, e) ->
+      let rows = Stdlib.max rows cols in
+      let rng = Rng.create seed in
+      let x = wild_matrix rng ~rows ~cols ~scale:(10.0 ** float_of_int e) ~dup in
+      let y = Array.init rows (fun _ -> Rng.range rng (-5.0) 5.0) in
+      let qr = Qr.decompose x and ref_qr = Ref.qr_decompose x in
+      bits (Qr.r_diag qr) = bits (Ref.qr_r_diag ref_qr)
+      && Qr.rank_deficient qr = Ref.qr_rank_deficient ref_qr
+      && same_outcome (fun () -> Qr.solve qr y) (fun () -> Ref.qr_solve ref_qr y))
+
+let prop_fit_diag_bitwise =
+  qcheck_case ~count:300 "lstsq fit_diag bitwise as reference (tall, wide, rank-deficient)"
+    QCheck.(pair shape_gen (int_range 0 2))
+    (fun ((seed, rows, cols, dup, e), ridge) ->
+      let rng = Rng.create seed in
+      let x = wild_matrix rng ~rows ~cols ~scale:(10.0 ** float_of_int e) ~dup in
+      let y = Array.init rows (fun _ -> Rng.range rng (-5.0) 5.0) in
+      let ridge = [| 0.0; 1e-9; 1e-3 |].(ridge) in
+      (* Weights (length [cols] on both sides), then the R diagonal. *)
+      same_outcome
+        (fun () -> let w, d = Lstsq.fit_diag ~ridge x y in Array.append w d)
+        (fun () -> let w, d = Ref.fit_diag ~ridge x y in Array.append w d))
+
+let test_fit_diag_paths_covered () =
+  (* The generator above must reach every branch it claims to: the QR
+     solve, the normal-equation fallback, an escalated ridge, and the
+     outright failure. *)
+  let solves_at ridge x y =
+    match Ref.normal_equations ~ridge x y with _ -> true | exception Failure _ -> false
+  in
+  let rng = Rng.create 7 in
+  let tall = wild_matrix rng ~rows:30 ~cols:6 ~scale:1.0 ~dup:0 in
+  let dup = wild_matrix rng ~rows:30 ~cols:6 ~scale:1.0 ~dup:2 in
+  let big = wild_matrix rng ~rows:30 ~cols:6 ~scale:1e5 ~dup:2 in
+  let huge = wild_matrix rng ~rows:30 ~cols:6 ~scale:1e12 ~dup:2 in
+  let wide = wild_matrix rng ~rows:4 ~cols:9 ~scale:1.0 ~dup:0 in
+  let y = Array.init 30 float_of_int in
+  let same x =
+    let y = Array.sub y 0 (Matrix.rows x) in
+    check_bool "bitwise" true
+      (same_outcome
+         (fun () -> fst (Lstsq.fit_diag ~ridge:1e-9 x y))
+         (fun () -> fst (Ref.fit_diag ~ridge:1e-9 x y)))
+  in
+  check_bool "tall solves by QR" false (Ref.qr_rank_deficient (Ref.qr_decompose tall));
+  check_bool "duplicates fall back" true (Ref.qr_rank_deficient (Ref.qr_decompose dup));
+  check_bool "duplicates solve at the first ridge" true (solves_at 1e-8 dup y);
+  check_bool "large scale escalates" true (solves_at 1.0 big y && not (solves_at 1e-8 big y));
+  check_bool "huge scale fails outright" false (solves_at 1.0 huge y);
+  check_int "wide has no R diagonal" 0 (Array.length (snd (Lstsq.fit_diag wide (Array.make 4 1.0))));
+  List.iter same [ tall; dup; big; huge; wide ]
+
+let matrix_bits m = Array.init (Matrix.rows m) (fun i -> bits (Matrix.row m i))
+
+let prop_matrix_solve_bitwise =
+  (* Scales down to 1e-14 put pivots on both sides of the singularity
+     threshold. *)
+  qcheck_case ~count:300 "matrix solve bitwise as reference"
+    QCheck.(quad small_nat (int_range 1 12) (int_range 0 2) (int_range (-14) 2))
+    (fun (seed, n, dup, e) ->
+      let rng = Rng.create seed in
+      let a = wild_matrix rng ~rows:n ~cols:n ~scale:(10.0 ** float_of_int e) ~dup in
+      let b = Array.init n (fun _ -> Rng.range rng (-5.0) 5.0) in
+      same_outcome (fun () -> Matrix.solve a b) (fun () -> Ref.matrix_solve a b))
+
+let prop_matrix_mul_bitwise =
+  qcheck_case ~count:300 "matrix mul bitwise as reference"
+    QCheck.(quad small_nat (int_range 1 12) (int_range 1 12) (int_range 1 12))
+    (fun (seed, r, k, c) ->
+      let rng = Rng.create seed in
+      let a = wild_matrix rng ~rows:r ~cols:k ~scale:1.0 ~dup:0 in
+      let b = wild_matrix rng ~rows:k ~cols:c ~scale:1e3 ~dup:0 in
+      (* An infinite entry tells a skipped zero term from 0 * inf = nan. *)
+      Matrix.set b (Rng.int rng k) (Rng.int rng c) Float.infinity;
+      matrix_bits (Matrix.mul a b) = matrix_bits (Ref.matrix_mul a b))
+
+let prop_design_matrix_rowwise =
+  qcheck_case ~count:200 "design matrix bitwise as row-wise apply, with and without caps"
+    QCheck.(quad small_nat (int_range 1 5) (int_range 0 6) bool)
+    (fun (seed, arity, degree, capped) ->
+      let rng = Rng.create seed in
+      let caps = if capped then Some (Array.init arity (fun _ -> Rng.int rng (degree + 2))) else None in
+      let f = Polyfeat.create ?caps ~arity ~degree () in
+      let rows =
+        Array.init (1 + Rng.int rng 20) (fun _ ->
+            Array.init arity (fun _ -> if Rng.int rng 6 = 0 then 0.0 else Rng.range rng (-3.0) 3.0))
+      in
+      let x = Polyfeat.design_matrix f rows in
+      Matrix.rows x = Array.length rows
+      && Matrix.cols x = Polyfeat.output_dim f
+      && matrix_bits x = Array.map (fun r -> bits (Polyfeat.apply f r)) rows)
+
+let test_exponent_order_unchanged () =
+  (* The basis order fitted weights are stored in: every exponent vector of
+     total degree <= d in lexicographic order, stably sorted by total. *)
+  let reference arity degree =
+    let acc = ref [] and current = Array.make arity 0 in
+    let rec go pos remaining =
+      if pos = arity then acc := Array.copy current :: !acc
+      else
+        for e = 0 to remaining do
+          current.(pos) <- e;
+          go (pos + 1) (remaining - e);
+          current.(pos) <- 0
+        done
+    in
+    go 0 degree;
+    let total v = Array.fold_left ( + ) 0 v in
+    List.stable_sort (fun a b -> compare (total a) (total b)) (List.rev !acc)
+  in
+  for arity = 1 to 5 do
+    for degree = 0 to 6 do
+      Alcotest.(check (list (array int)))
+        (Printf.sprintf "arity %d degree %d" arity degree)
+        (reference arity degree)
+        (Polyfeat.exponents (Polyfeat.create ~arity ~degree ()))
+    done
+  done
+
 let suite =
   [
     ( "matrix",
@@ -307,6 +631,8 @@ let suite =
         Alcotest.test_case "solve singular" `Quick test_solve_singular;
         prop_transpose_involution;
         prop_solve_recovers;
+        prop_matrix_solve_bitwise;
+        prop_matrix_mul_bitwise;
       ] );
     ( "qr",
       [
@@ -316,6 +642,7 @@ let suite =
         Alcotest.test_case "rank deficiency" `Quick test_qr_rank_deficiency_detected;
         Alcotest.test_case "wide rejected" `Quick test_qr_wide_rejected;
         prop_qr_matches_normal_equations;
+        prop_qr_bitwise;
       ] );
     ( "lstsq",
       [
@@ -324,6 +651,8 @@ let suite =
         Alcotest.test_case "ridge on collinear" `Quick test_lstsq_ridge_on_collinear;
         Alcotest.test_case "predict" `Quick test_lstsq_predict;
         Alcotest.test_case "fit_predict" `Quick test_lstsq_fit_predict;
+        Alcotest.test_case "bitwise paths covered" `Quick test_fit_diag_paths_covered;
+        prop_fit_diag_bitwise;
       ] );
     ( "polyfeat",
       [
@@ -335,5 +664,7 @@ let suite =
         Alcotest.test_case "exponent caps" `Quick test_polyfeat_caps;
         Alcotest.test_case "design matrix" `Quick test_polyfeat_design_matrix;
         prop_polyfeat_product_structure;
+        prop_design_matrix_rowwise;
+        Alcotest.test_case "exponent order unchanged" `Quick test_exponent_order_unchanged;
       ] );
   ]
