@@ -195,7 +195,9 @@ control-smoke:
 # seconds with a lint-clean plan (opprox search exits non-zero on any
 # PLAN/SRCH error), and the result must be bit-identical across repeat
 # runs and across --jobs: chains are seeded by (seed, index), never by
-# scheduling.
+# scheduling.  The same space through `opprox optimize` must take the
+# optimizer's own dispatch to the search (PLAN010 naming it) and print
+# the same plan at -j 1 and -j 2.
 search-smoke:
 	dune build bin/opprox_cli.exe
 	@set -e; \
@@ -219,6 +221,21 @@ search-smoke:
 	  || { echo "search-smoke: output differs between -j 1 and -j 4"; \
 	       diff $$DIR/j1.out $$DIR/j4.out; exit 1; }; \
 	echo "search-smoke: bit-identical across --jobs (ok)"; \
+	dune exec --no-build bin/opprox_cli.exe -- train transformer -p 2 --inputs 32,12,8 \
+	  --joint 3 -o $$DIR/tf.sexp > $$DIR/train.out \
+	  || { echo "search-smoke: train failed"; cat $$DIR/train.out; exit 1; }; \
+	for J in 1 2; do \
+	  dune exec --no-build bin/opprox_cli.exe -- optimize transformer --load $$DIR/tf.sexp \
+	    -b 10 -j $$J > $$DIR/opt-j$$J.out 2> $$DIR/opt-j$$J.err \
+	    || { echo "search-smoke: optimize -j $$J failed"; cat $$DIR/opt-j$$J.err; exit 1; }; \
+	done; \
+	grep -q "PLAN010.*stochastic" $$DIR/opt-j1.err \
+	  || { echo "search-smoke: optimize did not dispatch to the stochastic search"; \
+	       cat $$DIR/opt-j1.err; exit 1; }; \
+	cmp -s $$DIR/opt-j1.out $$DIR/opt-j2.out \
+	  || { echo "search-smoke: optimize plan differs between -j 1 and -j 2"; \
+	       diff $$DIR/opt-j1.out $$DIR/opt-j2.out; exit 1; }; \
+	echo "search-smoke: optimize dispatched to the search, bit-identical across --jobs (ok)"; \
 	echo "search-smoke: ok"
 
 # Regenerate the committed corruption fixtures under test/fixtures/.

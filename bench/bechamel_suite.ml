@@ -903,9 +903,9 @@ let write_control_snapshot entries rows =
    wall-clock bound, bit-identical results across seeds and pool widths,
    and a budget-feasible, lint-clean plan. *)
 
-module Search = Opprox_search.Search
-module Scost = Opprox_search.Cost
-module Smcmc = Opprox_search.Mcmc
+module Search = Opprox.Search
+module Scost = Opprox.Cost
+module Smcmc = Opprox.Mcmc
 
 let search_budget = 10.0
 

@@ -68,7 +68,7 @@ let check_app (app : App.t) =
       [
         D.v ~app:name ~code:"APP004" D.Info
           "joint configuration space has %d points (> %d); exhaustive passes are skipped and \
-           plans come from greedy or stochastic search"
+           plans come from the stochastic search"
           count enumeration_bound;
       ]
     else []

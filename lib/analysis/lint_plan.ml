@@ -204,7 +204,7 @@ let check_plan v =
   in
   List.concat_map per_choice v.choices @ order @ split @ over_alloc @ shape @ sched
 
-let fallback ~app ~space ~limit ~chosen =
+let fallback ~app ~space ~limit =
   D.v ~app ~code:"PLAN010" D.Warning
-    "per-phase space has %d points (> enumeration limit %d); falling back to %s search" space
-    limit chosen
+    "per-phase space has %d points (> enumeration limit %d); falling back to stochastic search"
+    space limit

@@ -47,9 +47,9 @@ val check_plan : plan_view -> Diagnostic.t list
     infeasible phases; [Warning]), plus the [SCHED***] findings of
     {!Lint_schedule.check} on the plan's schedule. *)
 
-val fallback : app:string -> space:int -> limit:int -> chosen:string -> Diagnostic.t
+val fallback : app:string -> space:int -> limit:int -> Diagnostic.t
 (** [PLAN010] ([Warning]): the optimizer replaced exhaustive per-phase
-    enumeration with [chosen] ("greedy" or "stochastic") because the
+    enumeration with the stochastic whole-schedule search because the
     joint AL space has [space] points, more than [limit].  Built here so
     the optimizer's silent-fallback fix and its regression test share one
     constructor; the optimizer logs it and bumps [optimizer.fallbacks]

@@ -1,6 +1,6 @@
 (** Stochastic-search outcome rules (codes [SRCH***]).
 
-    The multi-chain MCMC driver ({!Opprox_search.Search}) audits its
+    The multi-chain MCMC driver ({!Opprox.Search}) audits its
     best-of-chains result through {!check} before it builds a plan, the
     same way the optimizer audits its output through {!Lint_plan}.  The
     rules judge the {e search outcome}, not the plan — the plan itself

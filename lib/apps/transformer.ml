@@ -14,7 +14,7 @@ module Rng = Opprox_util.Rng
    The point of this app is its knob space: 13 ABs x 9 levels each gives
    9^13 ~ 2.5e12 joint configurations — far past any enumeration bound
    (Lint_app.enumeration_bound is 1e5) and past 1e12, so plans can only
-   come from the greedy or stochastic search.  Everything else is sized to
+   come from the stochastic search.  Everything else is sized to
    keep a run in the low milliseconds. *)
 
 let max_level = 8

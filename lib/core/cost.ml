@@ -1,5 +1,3 @@
-module Models = Opprox.Models
-module Optimizer = Opprox.Optimizer
 module App = Opprox_sim.App
 
 type eval = {
@@ -49,8 +47,8 @@ let eval t sched =
     speedups_lo := p.Models.speedup_lo :: !speedups_lo;
     qos := !qos +. Float.max 0.0 p.Models.qos_hi
   done;
-  let speedup = Optimizer.compose_speedup !speedups in
-  let speedup_lo = Optimizer.compose_speedup !speedups_lo in
+  let speedup = Models.compose_speedup !speedups in
+  let speedup_lo = Models.compose_speedup !speedups_lo in
   let overrun = Float.max 0.0 (!qos -. t.budget) in
   {
     cost = (-.speedup_lo) +. (penalty *. overrun);

@@ -2,7 +2,7 @@
 
     The chain prices whole schedules through the {e models}, never the
     simulator: one {!t} compiles the models' hoisted prediction pipeline
-    ({!Opprox.Models.predictor}) plus a (phase, levels) memo, exactly like
+    ({!Models.predictor}) plus a (phase, levels) memo, exactly like
     the optimizer's solver, so the MCMC inner loop costs a hashtable hit
     for every point it revisits.  A [t] wraps mutable scratch and a
     single-domain predictor — build one per chain, never share one across
@@ -27,7 +27,7 @@ val penalty : float
     ever outranks a feasible one on this problem's speedup scale, small
     enough that chains can traverse shallow violations while hot. *)
 
-val make : models:Opprox.Models.t -> input:float array -> budget:float -> t
+val make : models:Models.t -> input:float array -> budget:float -> t
 (** Compile the pricing pipeline for one (models, input, budget). *)
 
 val eval : t -> int array array -> eval

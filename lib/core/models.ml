@@ -337,6 +337,12 @@ let build ?(config = default_config) ?strict (training : Training.t) =
         (mean (fun pm -> Polyreg.cv_r2 pm.overall_speedup)));
   audit ?strict t
 
+let compose_speedup speedups =
+  let savings =
+    List.fold_left (fun acc s -> acc +. (1.0 -. (1.0 /. Float.max 0.01 s))) 0.0 speedups
+  in
+  1.0 /. Float.max 0.05 (1.0 -. savings)
+
 let n_phases t = t.n_phases
 let app t = t.app
 

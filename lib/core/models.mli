@@ -60,6 +60,11 @@ val predictor : t -> input:float array -> phase:int -> levels:int array -> predi
     wants.  The closure owns mutable scratch: do not share one closure
     between domains. *)
 
+val compose_speedup : float list -> float
+(** Combine per-phase whole-run speedups: each phase contributes work
+    savings [1 - 1/s]; savings add, so the composed speedup is
+    [1 / (1 - sum savings)] (capped to keep the result finite). *)
+
 val n_phases : t -> int
 
 val app : t -> Opprox_sim.App.t

@@ -1,6 +1,10 @@
 module Training = Training
 module Models = Models
 module Roi = Roi
+module Cost = Cost
+module Mutate = Mutate
+module Mcmc = Mcmc
+module Search = Search
 module Optimizer = Optimizer
 module Oracle = Oracle
 module Phases = Phases

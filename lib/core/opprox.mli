@@ -12,7 +12,9 @@
     + split the user's error budget into phase sub-budgets in proportion
       to each phase's return on investment ({!Roi}),
     + solve a per-phase discrete optimization for the most profitable
-      approximation-level settings ({!Optimizer}, Algorithm 2).
+      approximation-level settings ({!Optimizer}, Algorithm 2); a phase
+      space too large to enumerate is searched by multi-chain MCMC
+      ({!Search} over {!Cost}, {!Mutate} and {!Mcmc}).
 
     The phase-agnostic exhaustive baseline of prior work is {!Oracle}.
 
@@ -30,6 +32,10 @@
 module Training = Training
 module Models = Models
 module Roi = Roi
+module Cost = Cost
+module Mutate = Mutate
+module Mcmc = Mcmc
+module Search = Search
 module Optimizer = Optimizer
 module Oracle = Oracle
 module Phases = Phases

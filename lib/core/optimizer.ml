@@ -32,35 +32,12 @@ type plan = {
   budget : float;
 }
 
-type search = Enumerate | Greedy | Stochastic
+(* Per-phase spaces up to this size are enumerated exactly; larger ones
+   are searched stochastically as a whole schedule. *)
+let enumeration_limit = 20000
 
-type stochastic_params = { chains : int; iters : int; seed : int }
-
-let default_stochastic_params = { chains = 4; iters = 2000; seed = 0x5EA2C }
-
-(* The stochastic strategy lives in opprox.search, which depends on this
-   module (it prices schedules through Models.predictor and audits plans
-   through lint).  The dependency is inverted through a registration
-   hook: linking opprox.search installs the solver at module-init time. *)
-let stochastic_solver :
-    (models:Models.t ->
-    input:float array ->
-    budget:float ->
-    first_phase:int ->
-    params:stochastic_params ->
-    int array array)
-    option
-    ref =
-  ref None
-
-let set_stochastic_solver f = stochastic_solver := Some f
-let stochastic_available () = !stochastic_solver <> None
-
-let compose_speedup speedups =
-  let savings =
-    List.fold_left (fun acc s -> acc +. (1.0 -. (1.0 /. Float.max 0.01 s))) 0.0 speedups
-  in
-  1.0 /. Float.max 0.05 (1.0 -. savings)
+(* Kept only for bench/e2e/offline.ml, which asserts it. *)
+let stochastic_available () = true
 
 (* Exact enumeration of one phase's AL space: keep the configuration with
    the best conservative speedup whose conservative QoS fits the budget. *)
@@ -75,43 +52,6 @@ let enumerate_phase ~predict ~input ~phase ~budget abs =
         | _ -> best := Some (levels, p))
     (Config_space.all abs);
   !best
-
-(* Greedy coordinate ascent: repeatedly take the single-AB level change
-   that most improves conservative speedup while staying within budget. *)
-let greedy_phase ~predict ~input ~phase ~budget abs =
-  let n = Array.length abs in
-  let current = Array.make n 0 in
-  let current_pred = ref (predict ~input ~phase ~levels:current) in
-  let improved = ref true in
-  while !improved do
-    improved := false;
-    let best_step = ref None in
-    for ab = 0 to n - 1 do
-      List.iter
-        (fun delta ->
-          let l = current.(ab) + delta in
-          if l >= 0 && l <= abs.(ab).Opprox_sim.Ab.max_level && l <> current.(ab) then begin
-            let candidate = Array.copy current in
-            candidate.(ab) <- l;
-            let p = predict ~input ~phase ~levels:candidate in
-            if
-              p.Models.qos_hi <= budget
-              && p.Models.speedup_lo > !current_pred.Models.speedup_lo +. 1e-9
-            then
-              match !best_step with
-              | Some (_, bp) when bp.Models.speedup_lo >= p.Models.speedup_lo -> ()
-              | _ -> best_step := Some (candidate, p)
-          end)
-        [ 1; -1 ]
-    done;
-    match !best_step with
-    | Some (candidate, p) ->
-        Array.blit candidate 0 current 0 n;
-        current_pred := p;
-        improved := true
-    | None -> ()
-  done;
-  if !current_pred.Models.qos_hi <= budget then Some (Array.copy current, !current_pred) else None
 
 (* The neutral view of a plan that {!Opprox_analysis.Lint_plan} audits. *)
 let plan_view ~models (plan : plan) =
@@ -148,8 +88,7 @@ let log_diags diags =
       Log.msg level (fun m -> m "%a" Diagnostic.pp d))
     diags
 
-let solver ?search ?(enumeration_limit = 20000) ?(stochastic = default_stochastic_params)
-    ~models ~roi ~input () =
+let solver ~models ~roi ~input () =
   let app = Models.app models in
   let n_phases = Models.n_phases models in
   let abs = app.App.abs in
@@ -174,27 +113,16 @@ let solver ?search ?(enumeration_limit = 20000) ?(stochastic = default_stochasti
         Hashtbl.replace cache key p;
         p
   in
-  let search =
-    match search with
-    | Some s -> s
-    | None ->
-        let space = Config_space.count abs in
-        if space <= enumeration_limit then Enumerate
-        else begin
-          (* The fallback is correct but must not be silent: a plan whose
-             per-phase optimum came from a heuristic search is a different
-             artifact than an enumerated one.  PLAN010 + a counter make
-             the switch observable (and regression-testable). *)
-          let chosen = if stochastic_available () then Stochastic else Greedy in
-          Metrics.incr m_fallbacks;
-          log_diags
-            [
-              Lint_plan.fallback ~app:app.App.name ~space ~limit:enumeration_limit
-                ~chosen:(match chosen with Stochastic -> "stochastic" | _ -> "greedy");
-            ];
-          chosen
-        end
-  in
+  let space = Config_space.count abs in
+  let stochastic = space > enumeration_limit in
+  if stochastic then begin
+    (* Correct but never silent: a plan whose per-phase optimum came from
+       a heuristic search is a different artifact than an enumerated one.
+       PLAN010 + a counter make the switch observable (and
+       regression-testable). *)
+    Metrics.incr m_fallbacks;
+    log_diags [ Lint_plan.fallback ~app:app.App.name ~space ~limit:enumeration_limit ]
+  end;
   let order = Roi.descending_order roi in
   let n_abs = Array.length abs in
   fun ?(first_phase = 0) ~budget () ->
@@ -241,13 +169,7 @@ let solver ?search ?(enumeration_limit = 20000) ?(stochastic = default_stochasti
         allocated.(phase) <- allocated.(phase) +. extra;
         remaining := !remaining -. extra;
         remaining_roi := !remaining_roi -. roi.(phase);
-        let result =
-          match search with
-          | Enumerate -> enumerate_phase ~predict:predict_cached ~input ~phase ~budget:allocated.(phase) abs
-          | Greedy -> greedy_phase ~predict:predict_cached ~input ~phase ~budget:allocated.(phase) abs
-          | Stochastic -> assert false (* whole-schedule strategy; handled before the sweeps *)
-        in
-        match result with
+        match enumerate_phase ~predict:predict_cached ~input ~phase ~budget:allocated.(phase) abs with
         | Some (levels, p) ->
             let better =
               match chosen.(phase) with
@@ -281,52 +203,39 @@ let solver ?search ?(enumeration_limit = 20000) ?(stochastic = default_stochasti
       order;
     !changed
   in
-  (match search with
-  | Stochastic ->
-      (* Whole-schedule strategy: the registered MCMC driver searches the
-         joint per-phase space directly instead of sweeping phases under
-         ROI-split sub-budgets.  Each phase's sub-budget is then simply
-         what its chosen levels are predicted to consume. *)
-      let solve =
-        match !stochastic_solver with
-        | Some f -> f
-        | None ->
-            failwith
-              "Optimizer: Stochastic search requested but no solver is registered (link \
-               opprox.search)"
-      in
-      let levels = solve ~models ~input ~budget ~first_phase ~params:stochastic in
-      if Array.length levels <> n_phases then
-        failwith
-          (Printf.sprintf "Optimizer: stochastic solver returned %d phases, models have %d"
-             (Array.length levels) n_phases);
-      Array.iteri
-        (fun phase lv ->
-          if active phase then begin
-            let p = predict_cached ~input ~phase ~levels:lv in
-            let c = Float.max 0.0 p.Models.qos_hi in
-            chosen.(phase) <- Some (Array.copy lv, p);
-            allocated.(phase) <- c;
-            consumed.(phase) <- c
-          end)
-        levels
-  | Enumerate | Greedy ->
-      (* At most [max_sweeps] Algorithm-2 passes run, and the count below is
-         the number actually executed: the cap is checked {e before} a sweep
-         starts.  (An earlier revision tested the cap after the call, running
-         a sixth sweep whose convergence signal was discarded, and logged a
-         count one past the executed sweeps on early convergence.) *)
-      let max_sweeps = 5 in
-      let sweeps = ref 0 in
-      let converged = ref false in
-      while (not !converged) && !sweeps < max_sweeps do
-        incr sweeps;
-        Metrics.incr m_sweeps;
-        converged := not (Trace.with_span ~cat:"optimizer" "optimizer.sweep" sweep)
-      done;
-      Log.debug (fun m ->
-          m "budget %.2f settled after %d sweep(s); consumed %.2f" budget !sweeps
-            (total_consumed ())));
+  (if stochastic then
+     (* Whole-schedule strategy: the MCMC search walks the joint per-phase
+        space directly instead of sweeping phases under ROI-split
+        sub-budgets.  Each phase's sub-budget is then simply what its
+        chosen levels are predicted to consume. *)
+     let levels, _stats = Search.solve_levels ~models ~input ~budget ~first_phase () in
+     Array.iteri
+       (fun phase lv ->
+         if active phase then begin
+           let p = predict_cached ~input ~phase ~levels:lv in
+           let c = Float.max 0.0 p.Models.qos_hi in
+           chosen.(phase) <- Some (Array.copy lv, p);
+           allocated.(phase) <- c;
+           consumed.(phase) <- c
+         end)
+       levels
+   else
+     (* At most [max_sweeps] Algorithm-2 passes run, and the count below is
+        the number actually executed: the cap is checked {e before} a sweep
+        starts.  (An earlier revision tested the cap after the call, running
+        a sixth sweep whose convergence signal was discarded, and logged a
+        count one past the executed sweeps on early convergence.) *)
+     let max_sweeps = 5 in
+     let sweeps = ref 0 in
+     let converged = ref false in
+     while (not !converged) && !sweeps < max_sweeps do
+       incr sweeps;
+       Metrics.incr m_sweeps;
+       converged := not (Trace.with_span ~cat:"optimizer" "optimizer.sweep" sweep)
+     done;
+     Log.debug (fun m ->
+         m "budget %.2f settled after %d sweep(s); consumed %.2f" budget !sweeps
+           (total_consumed ())));
   (* Choices are reported in phase order — the order the plan executes —
      not in the descending-ROI order the sweeps visited them in. *)
   let choices =
@@ -342,7 +251,7 @@ let solver ?search ?(enumeration_limit = 20000) ?(stochastic = default_stochasti
         { phase; levels; predicted; sub_budget = allocated.(phase) })
   in
   let predicted_speedup =
-    compose_speedup (List.map (fun c -> c.predicted.Models.speedup) choices)
+    Models.compose_speedup (List.map (fun c -> c.predicted.Models.speedup) choices)
   in
   let predicted_qos =
     List.fold_left (fun acc c -> acc +. c.predicted.Models.qos_hi) 0.0 choices
@@ -358,11 +267,10 @@ let solver ?search ?(enumeration_limit = 20000) ?(stochastic = default_stochasti
   Diagnostic.raise_errors ~strict:false diags;
   plan
 
-let optimize ?search ?enumeration_limit ?stochastic ~models ~roi ~input ~budget () =
-  solver ?search ?enumeration_limit ?stochastic ~models ~roi ~input () ~budget ()
+let optimize ~models ~roi ~input ~budget () = solver ~models ~roi ~input () ~budget ()
 
-(* Build (and audit) a plan directly from a full levels matrix — the exit
-   path of the stochastic search, and useful for any externally-produced
+(* Build (and audit) a plan directly from a full levels matrix — how a
+   direct search's schedule becomes a plan, and useful for any externally-produced
    schedule that should carry the models' predictions.  Each phase's
    sub-budget is its own predicted conservative consumption, so the split
    sums exactly to the plan's predicted QoS. *)
@@ -389,7 +297,7 @@ let plan_of_levels ~models ~input ~budget levels =
         { phase; levels = lv; predicted = p; sub_budget = Float.max 0.0 p.Models.qos_hi })
   in
   let predicted_speedup =
-    compose_speedup (List.map (fun c -> c.predicted.Models.speedup) choices)
+    Models.compose_speedup (List.map (fun c -> c.predicted.Models.speedup) choices)
   in
   let predicted_qos =
     List.fold_left (fun acc c -> acc +. c.predicted.Models.qos_hi) 0.0 choices

@@ -11,10 +11,9 @@
     conservative bounds (upper-CI QoS, lower-CI speedup).  Whatever a
     phase does not consume flows to the phases visited after it.
 
-    AL spaces here are small (at most 6^4 = 1296), so the search is exact
-    enumeration by default; a greedy coordinate-ascent fallback handles
-    hypothetically larger spaces and is property-tested against
-    enumeration. *)
+    A phase space of at most 20000 points is enumerated exactly.  A larger one (the transformer's 9^13) is handed whole to
+    the multi-chain MCMC search ({!Search.solve_levels}), which walks the
+    joint per-phase schedule under the total budget. *)
 
 type phase_choice = {
   phase : int;
@@ -33,55 +32,26 @@ type plan = {
   budget : float;
 }
 
-type search =
-  | Enumerate  (** exact per-phase enumeration (small AL spaces) *)
-  | Greedy  (** per-phase greedy coordinate ascent *)
-  | Stochastic
-      (** whole-schedule multi-chain MCMC ({!Opprox_search.Search});
-          requires the [opprox.search] library to be linked — it installs
-          itself through {!set_stochastic_solver} at module-init time *)
-
-type stochastic_params = { chains : int; iters : int; seed : int }
-(** Knobs forwarded to the registered stochastic solver: number of
-    independent Metropolis–Hastings chains, iterations per chain, and the
-    master seed the per-chain streams are split from. *)
-
-val default_stochastic_params : stochastic_params
-(** [{ chains = 4; iters = 2000; seed = 0x5EA2C }]. *)
-
-val set_stochastic_solver :
-  (models:Models.t ->
-  input:float array ->
-  budget:float ->
-  first_phase:int ->
-  params:stochastic_params ->
-  int array array) ->
-  unit
-(** Install the whole-schedule stochastic solver.  The returned matrix is
-    [n_phases x n_abs] levels; phases before [first_phase] must be
-    all-zero.  Called by [opprox.search] when it is linked; not meant for
-    application code. *)
-
 val stochastic_available : unit -> bool
-(** Whether a stochastic solver has been registered. *)
+(** Always [true]: the stochastic search is part of this library.  Kept
+    only because [bench/e2e/offline.ml] still asserts it. *)
 
 val optimize :
-  ?search:search ->
-  ?enumeration_limit:int ->
-  ?stochastic:stochastic_params ->
   models:Models.t ->
   roi:float array ->
   input:float array ->
   budget:float ->
   unit ->
   plan
-(** Run Algorithm 2.  When the per-phase space exceeds
-    [enumeration_limit] (default 20000) and [?search] was not forced, the
-    solve falls back to [Stochastic] when available (else [Greedy]) —
-    visibly: a Warning-severity [PLAN010] diagnostic is logged and the
-    [optimizer.fallbacks] counter bumped.  The returned schedule always
-    satisfies the models' conservative per-phase constraints; the
-    all-exact schedule is the fallback when no setting fits a sub-budget.
+(** Run Algorithm 2.  When the per-phase space exceeds 20000 points the
+    solve falls back to {!Search.solve_levels} at
+    {!Search.default_config} — visibly: a Warning-severity [PLAN010]
+    diagnostic is logged and the [optimizer.fallbacks] counter bumped,
+    once per {!solver}.  That plan is bit-identical to
+    [Opprox_search.Search.solve] at the same budget.  The returned
+    schedule always satisfies the models' conservative per-phase
+    constraints; the all-exact schedule is the fallback when no setting
+    fits a sub-budget.
 
     Inputs are validated through {!Opprox_analysis.Lint_plan.check_inputs}
     before any search runs — a negative or non-finite budget, an ROI
@@ -100,9 +70,6 @@ val optimize :
     per sweep. *)
 
 val solver :
-  ?search:search ->
-  ?enumeration_limit:int ->
-  ?stochastic:stochastic_params ->
   models:Models.t ->
   roi:float array ->
   input:float array ->
@@ -155,8 +122,3 @@ val plan_of_sexp : Opprox_util.Sexp.t -> plan
     schedule violating the shape invariants.  A deserialized plan is
     untrusted: run it through {!lint} (or let {!Opprox.apply} do so)
     before executing it. *)
-
-val compose_speedup : float list -> float
-(** Combine per-phase whole-run speedups: each phase contributes work
-    savings [1 - 1/s]; savings add, so the composed speedup is
-    [1 / (1 - sum savings)] (capped to keep the result finite). *)

@@ -43,7 +43,7 @@ type checkpoint = {
 let default_memo_shards = 16
 let memo_shards_n = ref default_memo_shards
 let ckpt_capacity = ref 512
-let eval_capacity = ref 4096
+let eval_capacity = 4096
 
 (* Exact runs are pure functions of (application, input); the memo is
    unbounded like in previous revisions (one entry per distinct input). *)
@@ -57,7 +57,7 @@ let checkpoint_cache : checkpoint Bounded.t ref =
    probes and bench matrices, and an evaluation is a pure function of
    (app, input, schedule). *)
 let eval_cache : evaluation Bounded.t ref =
-  ref (Bounded.create ~name:"driver.eval" ~shards:default_memo_shards ~capacity:!eval_capacity ())
+  ref (Bounded.create ~name:"driver.eval" ~shards:default_memo_shards ~capacity:eval_capacity ())
 
 let checkpointing_on = Atomic.make true
 let eval_cache_on = Atomic.make true
@@ -68,10 +68,6 @@ let set_checkpoint_capacity n =
   ckpt_capacity := n;
   Bounded.set_capacity !checkpoint_cache n
 
-let set_eval_cache_capacity n =
-  eval_capacity := n;
-  Bounded.set_capacity !eval_cache n
-
 let memo_shards () = !memo_shards_n
 
 let set_memo_shards n =
@@ -79,7 +75,7 @@ let set_memo_shards n =
   memo_shards_n := n;
   exact_cache := Bounded.create ~name:"driver.exact" ~shards:n ~capacity:max_int ();
   checkpoint_cache := Bounded.create ~name:"driver.ckpt" ~shards:n ~capacity:!ckpt_capacity ();
-  eval_cache := Bounded.create ~name:"driver.eval" ~shards:n ~capacity:!eval_capacity ()
+  eval_cache := Bounded.create ~name:"driver.eval" ~shards:n ~capacity:eval_capacity ()
 
 (* Cache accounting lives in the process-wide metrics registry (atomic
    counters, so pool workers bump them without the cache mutexes); tests
@@ -342,5 +338,3 @@ let evaluate ?exact (app : App.t) sched input =
             ignore (Bounded.add !eval_cache key (copy_evaluation ev));
             ev
       end
-
-let evaluate_uniform app levels input = evaluate app (Schedule.uniform ~n_phases:1 levels) input

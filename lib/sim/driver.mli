@@ -57,9 +57,6 @@ val evaluate : ?exact:exact_run -> App.t -> Schedule.t -> float array -> evaluat
     [?exact] omitted are additionally memoized whole; a caller-supplied
     baseline bypasses that memo (the result depends on the baseline). *)
 
-val evaluate_uniform : App.t -> int array -> float array -> evaluation
-(** Phase-agnostic convenience: apply one AL vector for the whole run. *)
-
 (** {2 Cache control and observability} *)
 
 type cache_stats = {
@@ -87,14 +84,12 @@ val set_checkpointing : bool -> unit
     of the checkpoint benchmarks rely on it. *)
 
 val set_eval_cache : bool -> unit
-(** Enable/disable the whole-evaluation memo (default on). *)
+(** Enable/disable the whole-evaluation memo (default on; FIFO-bounded at
+    4096 entries). *)
 
 val set_checkpoint_capacity : int -> unit
 (** Bound the checkpoint table (FIFO eviction; default 512 entries).
     Lowering the capacity evicts immediately. *)
-
-val set_eval_cache_capacity : int -> unit
-(** Bound the evaluation memo (FIFO eviction; default 4096 entries). *)
 
 val memo_shards : unit -> int
 (** Number of independent shards each memo table hashes its keys across

@@ -192,9 +192,9 @@ let test_models_quality_reported () =
 
 (* ------------------------------------------------------------ Optimizer *)
 
-let optimize ?search budget =
+let optimize budget =
   let t = Lazy.force trained in
-  Optimizer.optimize ?search ~models:t.Opprox.models ~roi:t.Opprox.roi
+  Optimizer.optimize ~models:t.Opprox.models ~roi:t.Opprox.roi
     ~input:toy.App.default_input ~budget ()
 
 let test_optimizer_zero_budget () =
@@ -220,16 +220,6 @@ let test_optimizer_uses_budget () =
   check_bool "non-trivial plan under generous budget" true
     (not (Schedule.is_exact plan.Optimizer.schedule))
 
-let test_optimizer_greedy_feasible () =
-  let plan = optimize ~search:Optimizer.Greedy 10.0 in
-  check_bool "greedy priced within budget" true (plan.Optimizer.predicted_qos <= 10.0 +. 1e-6)
-
-let test_optimizer_greedy_close_to_enumerate () =
-  let e = (optimize ~search:Optimizer.Enumerate 10.0).Optimizer.predicted_speedup in
-  let g = (optimize ~search:Optimizer.Greedy 10.0).Optimizer.predicted_speedup in
-  check_bool "greedy <= enumerate + eps" true (g <= e +. 1e-6);
-  check_bool "greedy not far behind" true (g >= 1.0)
-
 let test_optimizer_negative_budget () =
   (* Input validation now flows through Lint_plan: a negative budget is a
      PLAN001 diagnostic carried by Lint_error. *)
@@ -240,11 +230,11 @@ let test_optimizer_negative_budget () =
         (List.exists (fun (d : Opprox_analysis.Diagnostic.t) -> d.code = "PLAN001") diags)
 
 let test_compose_speedup () =
-  check_float_eps 1e-9 "identity" 1.0 (Optimizer.compose_speedup [ 1.0; 1.0 ]);
+  check_float_eps 1e-9 "identity" 1.0 (Models.compose_speedup [ 1.0; 1.0 ]);
   (* one phase saving half of a quarter of the work: 1/(1-0.5) = 2 *)
-  check_float_eps 1e-9 "single" 2.0 (Optimizer.compose_speedup [ 2.0 ]);
+  check_float_eps 1e-9 "single" 2.0 (Models.compose_speedup [ 2.0 ]);
   check_bool "combination exceeds parts" true
-    (Optimizer.compose_speedup [ 1.2; 1.2 ] > 1.2)
+    (Models.compose_speedup [ 1.2; 1.2 ] > 1.2)
 
 let test_optimizer_schedule_shape () =
   let plan = optimize 10.0 in
@@ -427,8 +417,6 @@ let suite =
         Alcotest.test_case "respects predicted budget" `Quick test_optimizer_respects_predicted_budget;
         Alcotest.test_case "monotone in budget" `Quick test_optimizer_monotone_in_budget;
         Alcotest.test_case "uses generous budget" `Quick test_optimizer_uses_budget;
-        Alcotest.test_case "greedy feasible" `Quick test_optimizer_greedy_feasible;
-        Alcotest.test_case "greedy vs enumerate" `Quick test_optimizer_greedy_close_to_enumerate;
         Alcotest.test_case "negative budget" `Quick test_optimizer_negative_budget;
         Alcotest.test_case "compose speedup" `Quick test_compose_speedup;
         Alcotest.test_case "schedule shape" `Quick test_optimizer_schedule_shape;

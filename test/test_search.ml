@@ -1,9 +1,11 @@
-(* Tests for the stochastic schedule search (lib/search): mutation
-   operators, the model-priced cost, single chains, the multi-chain
-   driver, the optimizer integration (Stochastic strategy + the PLAN010
-   fallback visibility), and the SRCH lint rules.  Everything searches
-   over [Fixtures.toy] (2 ABs x 4 levels x 2 phases = 256 schedules), so
-   the enumerated optimizer is an exact reference. *)
+(* Tests for the stochastic schedule search: mutation operators, the
+   model-priced cost, single chains, the multi-chain driver, the
+   optimizer's dispatch to it past the enumeration limit (the same plan
+   as a direct search, and PLAN010), and the SRCH lint rules.  The unit
+   and driver tests search over [Fixtures.toy] (2 ABs x 4 levels x 2
+   phases = 256 schedules), so the enumerated optimizer is an exact
+   reference; the dispatch test needs a space past the limit and uses a
+   trimmed transformer. *)
 
 module App = Opprox_sim.App
 module Ab = Opprox_sim.Ab
@@ -14,9 +16,10 @@ module Optimizer = Opprox.Optimizer
 module Models = Opprox.Models
 module Diagnostic = Opprox_analysis.Diagnostic
 module Lint_search = Opprox_analysis.Lint_search
-module Mutate = Opprox_search.Mutate
-module Cost = Opprox_search.Cost
-module Mcmc = Opprox_search.Mcmc
+module Sexp = Opprox_util.Sexp
+module Mutate = Opprox.Mutate
+module Cost = Opprox.Cost
+module Mcmc = Opprox.Mcmc
 module Search = Opprox_search.Search
 open Fixtures
 
@@ -189,7 +192,7 @@ let test_search_reaches_oracle () =
      2's per-phase-split space, so it usually matches or beats it). *)
   let tr = Lazy.force trained in
   let oracle =
-    Optimizer.optimize ~search:Optimizer.Enumerate ~models:tr.Opprox.models ~roi:tr.Opprox.roi
+    Optimizer.optimize ~models:tr.Opprox.models ~roi:tr.Opprox.roi
       ~input:tr.Opprox.app.App.default_input ~budget ()
   in
   let plan, stats = solve ~chains:4 ~iters:600 () in
@@ -237,19 +240,6 @@ let test_search_infeasible_falls_back_exact () =
 
 (* -------------------------------------------------- optimizer integration *)
 
-let test_optimizer_stochastic_strategy () =
-  let tr = Lazy.force trained in
-  check_bool "solver registered by linking opprox.search" true (Optimizer.stochastic_available ());
-  let plan =
-    Optimizer.optimize ~search:Optimizer.Stochastic
-      ~stochastic:{ Optimizer.chains = 2; iters = 400; seed = 77 }
-      ~models:tr.Opprox.models ~roi:tr.Opprox.roi ~input:tr.Opprox.app.App.default_input
-      ~budget ()
-  in
-  check_bool "qos within budget" true (plan.Optimizer.predicted_qos <= budget +. 1e-6);
-  check_int "no lint errors" 0
-    (List.length (Diagnostic.errors (Optimizer.lint ~models:tr.Opprox.models plan)))
-
 let with_captured_logs f =
   let buf = Buffer.create 256 in
   let reporter =
@@ -284,27 +274,51 @@ let with_captured_logs f =
 let metric_value name =
   match Metrics.find name with Some (Metrics.Counter n) -> n | _ -> 0
 
-let test_optimizer_fallback_visible () =
-  (* The satellite regression: exceeding enumeration_limit must log the
-     Warning-severity PLAN010 diagnostic and bump optimizer.fallbacks. *)
-  let tr = Lazy.force trained in
-  let before = metric_value "optimizer.fallbacks" in
-  let plan, logs =
-    with_captured_logs (fun () ->
-        Optimizer.optimize ~enumeration_limit:1 ~models:tr.Opprox.models ~roi:tr.Opprox.roi
-          ~input:tr.Opprox.app.App.default_input ~budget ())
+let has_sub s sub =
+  let ls = String.length s and lsub = String.length sub in
+  let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
+  go 0
+
+(* The end-to-end benchmark's trimmed transformer: 2 phases, one input,
+   3 joint samples per phase.  Its 9^13 space is past the enumeration
+   limit, so the optimizer must hand it to the search. *)
+let transformer =
+  lazy
+    (let t = Opprox_apps.Registry.find "transformer" in
+     let input = [| 32.0; 12.0; 8.0 |] in
+     Opprox.train
+       ~config:
+         {
+           Opprox.default_train_config with
+           n_phases = Some 2;
+           training = { Opprox.default_train_config.training with joint_samples_per_phase = 3 };
+         }
+       (App.with_training_inputs t ~default_input:input ~training_inputs:[| input |]))
+
+let test_optimizer_stochastic_strategy () =
+  (* Past the enumeration limit the optimizer dispatches to the
+     stochastic search: its plan is exactly the one a direct search at
+     the default config builds, within budget and lint-clean. *)
+  let tr = Lazy.force transformer in
+  let plan = Opprox.optimize tr ~budget in
+  let direct, _ =
+    Search.solve ~models:tr.Opprox.models ~input:tr.Opprox.app.App.default_input ~budget ()
   in
+  check_bool "bit-equal to a direct search" true
+    (Sexp.to_string (Optimizer.plan_to_sexp plan)
+    = Sexp.to_string (Optimizer.plan_to_sexp direct));
+  check_bool "qos within budget" true (plan.Optimizer.predicted_qos <= budget +. 1e-6);
+  check_int "lint-clean" 0 (List.length (Optimizer.lint ~models:tr.Opprox.models plan))
+
+let test_optimizer_fallback_visible () =
+  (* The dispatch is visible: a Warning-severity PLAN010 naming the
+     stochastic search is logged and optimizer.fallbacks bumped. *)
+  let tr = Lazy.force transformer in
+  let before = metric_value "optimizer.fallbacks" in
+  let _plan, logs = with_captured_logs (fun () -> Opprox.optimize tr ~budget) in
   check_int "fallback counter bumped" (before + 1) (metric_value "optimizer.fallbacks");
   check_bool "PLAN010 logged" true
-    (let has_sub s sub =
-       let ls = String.length s and lsub = String.length sub in
-       let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
-       go 0
-     in
-     has_sub logs "PLAN010" && has_sub logs "warning");
-  (* With opprox.search linked the automatic fallback goes stochastic and
-     still produces a lint-clean plan. *)
-  check_bool "plan within budget" true (plan.Optimizer.predicted_qos <= budget +. 1e-6)
+    (has_sub logs "PLAN010" && has_sub logs "warning" && has_sub logs "stochastic")
 
 (* ------------------------------------------------------------ SRCH lint *)
 
