@@ -66,9 +66,11 @@ serve-smoke:
 	for i in $$(seq 1 100); do [ -S $$SOCK ] && break; sleep 0.1; done; \
 	[ -S $$SOCK ] || { echo "serve-smoke: daemon never bound $$SOCK"; exit 1; }; \
 	$$OPX request kmeans --socket $$SOCK --budget 12 | grep -q "source: solved" \
-	  && echo "serve-smoke: cold request planned (ok)"; \
+	  || { echo "serve-smoke: cold request planned FAILED"; exit 1; }; \
+	echo "serve-smoke: cold request planned (ok)"; \
 	$$OPX request kmeans --socket $$SOCK --budget 12 | grep -q "source: cache" \
-	  && echo "serve-smoke: repeat served from cache (ok)"; \
+	  || { echo "serve-smoke: repeat served from cache FAILED"; exit 1; }; \
+	echo "serve-smoke: repeat served from cache (ok)"; \
 	if $$OPX request kmeans --socket $$SOCK --budget 150 >/dev/null 2>&1; then \
 	  echo "serve-smoke: bad budget was NOT rejected"; exit 1; \
 	else echo "serve-smoke: bad budget rejected (ok)"; fi; \
@@ -98,7 +100,8 @@ corpus-smoke:
 	$$OPX precompute --models test/fixtures/trained_kmeans.sexp \
 	  --budgets 5,10,20 -o $$DIR/plans.opx; \
 	$$OPX check --corpus $$DIR/plans.opx --models test/fixtures/trained_kmeans.sexp \
-	  && echo "corpus-smoke: corpus lints clean (ok)"; \
+	  || { echo "corpus-smoke: corpus lints clean FAILED"; exit 1; }; \
+	echo "corpus-smoke: corpus lints clean (ok)"; \
 	$$OPX serve --socket $$SOCK --models test/fixtures/trained_kmeans.sexp \
 	  --corpus $$DIR/plans.opx --cache-restore $$DIR/cache.sexp \
 	  > $$DIR/serve.log 2>&1 & \
@@ -106,13 +109,17 @@ corpus-smoke:
 	for i in $$(seq 1 100); do [ -S $$SOCK ] && break; sleep 0.1; done; \
 	[ -S $$SOCK ] || { echo "corpus-smoke: daemon never bound $$SOCK"; cat $$DIR/serve.log; exit 1; }; \
 	$$OPX request kmeans --socket $$SOCK --budget 10 | grep -q "source: corpus" \
-	  && echo "corpus-smoke: on-grid request served from corpus (ok)"; \
+	  || { echo "corpus-smoke: on-grid request served from corpus FAILED"; exit 1; }; \
+	echo "corpus-smoke: on-grid request served from corpus (ok)"; \
 	$$OPX request kmeans --socket $$SOCK --budget 12 | grep -q "source: nn" \
-	  && echo "corpus-smoke: off-grid request served from nearest neighbour (ok)"; \
+	  || { echo "corpus-smoke: off-grid request served from nearest neighbour FAILED"; exit 1; }; \
+	echo "corpus-smoke: off-grid request served from nearest neighbour (ok)"; \
 	$$OPX request kmeans --socket $$SOCK --budget 4.2 | grep -q "source: solved" \
-	  && echo "corpus-smoke: below-grid request solved cold (ok)"; \
+	  || { echo "corpus-smoke: below-grid request solved cold FAILED"; exit 1; }; \
+	echo "corpus-smoke: below-grid request solved cold (ok)"; \
 	$$OPX request kmeans --socket $$SOCK --budget 4.2 | grep -q "source: cache" \
-	  && echo "corpus-smoke: repeat served from LRU (ok)"; \
+	  || { echo "corpus-smoke: repeat served from LRU FAILED"; exit 1; }; \
+	echo "corpus-smoke: repeat served from LRU (ok)"; \
 	kill -TERM $$SRV; \
 	wait $$SRV || { echo "corpus-smoke: daemon exited non-zero on SIGTERM"; cat $$DIR/serve.log; exit 1; }; \
 	[ -s $$DIR/cache.sexp ] || { echo "corpus-smoke: no cache snapshot written"; exit 1; }; \
@@ -124,7 +131,8 @@ corpus-smoke:
 	for i in $$(seq 1 100); do [ -S $$SOCK ] && break; sleep 0.1; done; \
 	[ -S $$SOCK ] || { echo "corpus-smoke: restarted daemon never bound $$SOCK"; cat $$DIR/serve2.log; exit 1; }; \
 	$$OPX request kmeans --socket $$SOCK --budget 4.2 | grep -q "source: cache" \
-	  && echo "corpus-smoke: restart answers from restored cache (ok)"; \
+	  || { echo "corpus-smoke: restart answers from restored cache FAILED"; exit 1; }; \
+	echo "corpus-smoke: restart answers from restored cache (ok)"; \
 	kill -TERM $$SRV; wait $$SRV || true; \
 	echo "corpus-smoke: ok"
 

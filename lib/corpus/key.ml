@@ -1,5 +1,15 @@
+(* The bits in lowercase hex with no leading zeros, read as unsigned:
+   the text of [Printf.sprintf "%Lx"], without its format interpreter. *)
 let add_float_bits b x =
-  Buffer.add_string b (Printf.sprintf "%Lx" (Int64.bits_of_float x))
+  let bits = Int64.bits_of_float x in
+  (* index of the highest nonzero nibble; 0 for all-zero bits *)
+  let rec top k =
+    if k = 15 || Int64.shift_right_logical bits (4 * (k + 1)) = 0L then k else top (k + 1)
+  in
+  for k = top 0 downto 0 do
+    Buffer.add_char b
+      "0123456789abcdef".[Int64.to_int (Int64.shift_right_logical bits (4 * k)) land 15]
+  done
 
 let group ~app ~input ~models_hash =
   let b =

@@ -4,7 +4,23 @@ let atom s = Atom s
 let list l = List l
 
 let int i = Atom (string_of_int i)
-let float f = Atom (Printf.sprintf "%.17g" f)
+
+(* [Printf.sprintf "%.17g"] hands its format to this same primitive after
+   interpreting it; calling it directly skips the interpreter.  An
+   integral float below 1e17 has at most 17 digits, all exact, so ["%.17g"]
+   prints it in positional form with nothing after the point: its integer
+   digits, which [string_of_int] writes faster.  The sign of -0.0 is lost
+   by [int_of_float], so it gets its own case. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let float_text f =
+  if Float.is_integer f && Float.abs f < 1e17 then
+    if f <> 0.0 then string_of_int (int_of_float f)
+    else if Float.sign_bit f then "-0"
+    else "0"
+  else format_float "%.17g" f
+
+let float f = Atom (float_text f)
 let string s = Atom s
 
 let shape_error what sexp =
@@ -56,141 +72,157 @@ let bare_atom_char c =
       true
   | _ -> false
 
-let needs_quoting s = s = "" || not (String.for_all bare_atom_char s)
+let needs_quoting s =
+  let n = String.length s in
+  let rec bare_from i = i = n || (bare_atom_char s.[i] && bare_from (i + 1)) in
+  n = 0 || not (bare_from 0)
 
-let quote s =
-  let buf = Buffer.create (String.length s + 2) in
+let write_quoted buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  for i = 0 to String.length s - 1 do
+    match s.[i] with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | c -> Buffer.add_char buf c
+  done;
+  Buffer.add_char buf '"'
 
 let rec write buf = function
-  | Atom a -> Buffer.add_string buf (if needs_quoting a then quote a else a)
-  | List items ->
-      Buffer.add_char buf '(';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ' ';
-          write buf item)
-        items;
-      Buffer.add_char buf ')'
+  | Atom a -> if needs_quoting a then write_quoted buf a else Buffer.add_string buf a
+  | List [] -> Buffer.add_string buf "()"
+  | List (first :: rest) -> write_items buf " " first rest
+
+(* A parenthesized list whose items after the first are each preceded by
+   [sep]. *)
+and write_items buf sep first rest =
+  Buffer.add_char buf '(';
+  write buf first;
+  write_rest buf sep rest;
+  Buffer.add_char buf ')'
+
+and write_rest buf sep = function
+  | [] -> ()
+  | item :: rest ->
+      Buffer.add_string buf sep;
+      write buf item;
+      write_rest buf sep rest
+
+let rec all_fields = function
+  | [] -> true
+  | List (Atom _ :: _) :: rest -> all_fields rest
+  | _ -> false
 
 let to_string sexp =
   let buf = Buffer.create 1024 in
   (match sexp with
-  | List fields
-    when List.for_all (function List (Atom _ :: _) -> true | _ -> false) fields
-         && List.length fields > 1 ->
-      (* Record-ish top level: one field per line for readability. *)
-      Buffer.add_string buf "(";
-      List.iteri
-        (fun i f ->
-          if i > 0 then Buffer.add_string buf "\n ";
-          write buf f)
-        fields;
-      Buffer.add_string buf ")"
+  | List (first :: rest as fields) when all_fields fields ->
+      (* Record-ish top level: one field per line for readability.  A
+         single field has no separator, so it prints as [write] would. *)
+      write_items buf "\n " first rest
   | s -> write buf s);
   Buffer.contents buf
 
 (* -------------------------------------------------------------- parsing *)
 
-type parser_state = { input : string; mutable pos : int }
+(* The scanner reads [input] by index: every [input.[i]] is bounds-checked
+   by [String.get] and sits behind an explicit [i < len] test, so reaching
+   the end of input is a branch, never an exception. *)
+type parser_state = { input : string; len : int; mutable pos : int }
 
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
-
-let advance st = st.pos <- st.pos + 1
-
-let parse_error st msg = failwith (Printf.sprintf "Sexp: %s at byte %d" msg st.pos)
+let parse_error msg pos = failwith (Printf.sprintf "Sexp: %s at byte %d" msg pos)
 
 let rec skip_blank st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      skip_blank st
-  | Some ';' ->
-      (* line comment *)
-      let rec to_eol () =
-        match peek st with
-        | Some '\n' | None -> ()
-        | Some _ ->
-            advance st;
-            to_eol ()
-      in
-      to_eol ();
-      skip_blank st
-  | Some _ | None -> ()
+  if st.pos < st.len then
+    match st.input.[st.pos] with
+    | ' ' | '\t' | '\n' | '\r' ->
+        st.pos <- st.pos + 1;
+        skip_blank st
+    | ';' ->
+        (* line comment: stop at the newline, which the next round skips *)
+        let i = ref st.pos in
+        while !i < st.len && st.input.[!i] <> '\n' do
+          incr i
+        done;
+        st.pos <- !i;
+        skip_blank st
+    | _ -> ()
+
+(* A quoted atom whose text starts at [start] and whose first backslash is
+   at [i]: copy the escape-free prefix, then unescape up to the closing
+   quote. *)
+let parse_escaped st start i =
+  let buf = Buffer.create (i - start + 16) in
+  Buffer.add_substring buf st.input start (i - start);
+  let rec go i =
+    if i >= st.len then parse_error "unterminated string" st.len
+    else
+      match st.input.[i] with
+      | '"' -> i + 1
+      | '\\' ->
+          if i + 1 >= st.len then parse_error "dangling escape" st.len;
+          (match st.input.[i + 1] with
+          | 'n' -> Buffer.add_char buf '\n'
+          | 't' -> Buffer.add_char buf '\t'
+          | c -> Buffer.add_char buf c);
+          go (i + 2)
+      | c ->
+          Buffer.add_char buf c;
+          go (i + 1)
+  in
+  st.pos <- go i;
+  Atom (Buffer.contents buf)
 
 let parse_quoted st =
-  advance st (* opening quote *);
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> parse_error st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | Some 'n' -> Buffer.add_char buf '\n'; advance st; go ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance st; go ()
-        | Some c -> Buffer.add_char buf c; advance st; go ()
-        | None -> parse_error st "dangling escape")
-    | Some c ->
-        Buffer.add_char buf c;
-        advance st;
-        go ()
+  let start = st.pos + 1 (* past the opening quote *) in
+  let rec plain i =
+    if i >= st.len then parse_error "unterminated string" st.len
+    else
+      match st.input.[i] with
+      | '"' ->
+          st.pos <- i + 1;
+          Atom (String.sub st.input start (i - start))
+      | '\\' -> parse_escaped st start i
+      | _ -> plain (i + 1)
   in
-  go ();
-  Atom (Buffer.contents buf)
+  plain start
 
 let parse_bare st =
   let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when bare_atom_char c ->
-        advance st;
-        go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  if st.pos = start then parse_error st "empty atom";
-  Atom (String.sub st.input start (st.pos - start))
+  let i = ref start in
+  while !i < st.len && bare_atom_char st.input.[!i] do
+    incr i
+  done;
+  if !i = start then parse_error "empty atom" start;
+  st.pos <- !i;
+  Atom (String.sub st.input start (!i - start))
 
 let rec parse_exp st =
   skip_blank st;
-  match peek st with
-  | None -> parse_error st "unexpected end of input"
-  | Some '(' ->
-      advance st;
-      let items = ref [] in
-      let rec items_loop () =
-        skip_blank st;
-        match peek st with
-        | Some ')' -> advance st
-        | None -> parse_error st "unterminated list"
-        | Some _ ->
-            items := parse_exp st :: !items;
-            items_loop ()
-      in
-      items_loop ();
-      List (List.rev !items)
-  | Some ')' -> parse_error st "unexpected )"
-  | Some '"' -> parse_quoted st
-  | Some _ -> parse_bare st
+  if st.pos >= st.len then parse_error "unexpected end of input" st.pos;
+  match st.input.[st.pos] with
+  | '(' ->
+      st.pos <- st.pos + 1;
+      parse_items st []
+  | ')' -> parse_error "unexpected )" st.pos
+  | '"' -> parse_quoted st
+  | _ -> parse_bare st
+
+and parse_items st acc =
+  skip_blank st;
+  if st.pos >= st.len then parse_error "unterminated list" st.pos;
+  if st.input.[st.pos] = ')' then begin
+    st.pos <- st.pos + 1;
+    List (List.rev acc)
+  end
+  else parse_items st (parse_exp st :: acc)
 
 let of_string input =
-  let st = { input; pos = 0 } in
+  let st = { input; len = String.length input; pos = 0 } in
   let result = parse_exp st in
   skip_blank st;
-  (match peek st with None -> () | Some _ -> parse_error st "trailing input");
+  if st.pos < st.len then parse_error "trailing input" st.pos;
   result
 
 let read_file path =

@@ -18,7 +18,13 @@ val list : t list -> t
 
 val int : int -> t
 val float : float -> t
-(** Floats print with 17 significant digits, enough to round-trip. *)
+(** Floats print as [Printf.sprintf "%.17g"] does — 17 significant
+    digits, enough to round-trip — byte for byte: an integral value with
+    magnitude below 1e17 as its integer digits (["-0"] for -0.0), every
+    other value through the C printer's ["%.17g"] (["nan"] or ["-nan"],
+    ["inf"], ["-inf"], ["1e+17"], ["0.10000000000000001"]).  Model files,
+    plan corpora and wire replies written by earlier builds therefore
+    keep their exact bytes. *)
 
 val string : string -> t
 
@@ -43,11 +49,32 @@ val field : t -> string -> t
 val field_opt : t -> string -> t option
 
 val to_string : t -> string
-(** Render with minimal quoting, line-wrapped at top-level record fields. *)
+(** Render with minimal quoting, line-wrapped at top-level record fields:
+    a top-level list whose items are all lists headed by an atom puts
+    ["\n "] between items, every other list a single space.  An atom is
+    written bare when it is non-empty and made only of bare-word
+    characters, otherwise double-quoted, with the quote character, [\\],
+    newline and tab escaped. *)
 
 val of_string : string -> t
-(** Parse one expression; raises [Failure] on syntax errors (with byte
-    position) and on trailing garbage. *)
+(** Parse exactly one expression, surrounded by optional whitespace and
+    comments.  Raises [Failure "Sexp: MSG at byte N"], where [N] is the
+    0-based offset at which the scanner stopped and [MSG] is one of:
+    - ["unexpected end of input"] — no expression starts before the end
+      ([N] is the input length);
+    - ["unterminated list"] — the input ends inside a list ([N] is the
+      input length);
+    - ["unexpected )"] — a [)] at [N] where an expression should start;
+    - ["unterminated string"] — no closing quote ([N] is the input
+      length);
+    - ["dangling escape"] — the input ends right after a [\\] inside a
+      string ([N] is the input length);
+    - ["empty atom"] — the byte at [N] can start no expression (it is not
+      a bare-word character, paren, quote, blank or [;]);
+    - ["trailing input"] — the expression is followed, at [N], by more
+      than whitespace and comments.
+    Inside a string, [\\n] and [\\t] decode to newline and tab; a
+    backslash before any other byte yields that byte. *)
 
 val read_file : string -> string
 (** Slurp a whole file.  The channel is closed via [Fun.protect] on every

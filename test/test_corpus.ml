@@ -54,6 +54,26 @@ let test_key_composition () =
     (Int64.equal (Key.hash64 group)
        (Key.hash64 (Key.group ~app:"toy2" ~input ~models_hash)))
 
+(* Float bits enter a key as the text of [Printf.sprintf "%Lx"]: lowercase,
+   no leading zeros, the sign bit read as unsigned.  Corpus files written
+   before the hand-rolled printer must keep exact hits, so the two are
+   compared over random bits and the patterns at the printer's edges:
+   zero, one nibble, every nibble, the sign bit alone, and NaNs. *)
+let prop_key_float_bits =
+  let edges =
+    [ 0L; 1L; 0xfL; 0x10L; -1L; Int64.min_int; Int64.max_int; 0x7ff8000000000000L;
+      0xfff8000000000000L; 0x7ff0000000000001L; 0x8000000000000001L ]
+  in
+  qcheck_case ~count:2000 "key float bits = %Lx"
+    (QCheck.make ~print:(Printf.sprintf "%Lx")
+       QCheck.Gen.(frequency [ (4, ui64); (1, oneofl edges) ]))
+    (fun bits ->
+      let x = Int64.float_of_bits bits in
+      let hex = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+      Key.of_group ~group:"g" ~budget:x = "g|" ^ hex
+      && Key.group ~app:"a" ~input:[| x; x |] ~models_hash:"h"
+         = Printf.sprintf "a|%s.%s.|h" hex hex)
+
 (* ---------------------------------------------------------------- corpus *)
 
 let sweep_entries budgets =
@@ -489,6 +509,7 @@ let suite =
     ( "corpus",
       [
         Alcotest.test_case "key composition" `Quick test_key_composition;
+        prop_key_float_bits;
         Alcotest.test_case "write/load roundtrip" `Quick test_write_load_roundtrip;
         prop_corpus_roundtrip;
         Alcotest.test_case "write validation" `Quick test_write_validation;

@@ -175,6 +175,89 @@ let test_response_roundtrip () =
     (roundtrip_response (Protocol.Overloaded { inflight = 9; limit = 8 })
     = Protocol.Overloaded { inflight = 9; limit = 8 })
 
+(* Wire byte-identity: every reply shape, every cache status, plans from
+   the committed kmeans fixture at four budgets.  The frame must be the
+   reference codec's bytes (Test_serialize.Ref, the codec before its hot
+   paths were rewritten), every numeric atom the reference float text, and
+   decoding must give back a plan that prints the same. *)
+
+let kmeans_fixture =
+  lazy (Opprox.load ~resolve:Opprox_apps.Registry.find "fixtures/trained_kmeans.sexp")
+
+let ref_frame sexp =
+  let payload = Test_serialize.Ref.to_string sexp in
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int (String.length payload));
+  Bytes.to_string header ^ payload
+
+let numeric_atom a =
+  a <> ""
+  && String.for_all (function '0' .. '9' | '.' | 'e' | '+' | '-' -> true | _ -> false) a
+  && Option.is_some (float_of_string_opt a)
+
+let rec check_float_atoms = function
+  | Opprox_util.Sexp.Atom a when numeric_atom a ->
+      Alcotest.(check string) "reference float text"
+        (Opprox_util.Sexp.to_string_atom (Test_serialize.Ref.float (float_of_string a))) a
+  | Opprox_util.Sexp.Atom _ -> ()
+  | Opprox_util.Sexp.List items -> List.iter check_float_atoms items
+
+let plan_text plan = Opprox_util.Sexp.to_string (Opprox.Optimizer.plan_to_sexp plan)
+
+let test_wire_bytes_match_reference () =
+  let trained = Lazy.force kmeans_fixture in
+  let plans = List.map (fun budget -> Opprox.optimize trained ~budget) [ 2.5; 5.0; 10.0; 20.0 ] in
+  let diags =
+    [
+      Opprox_analysis.Lint_request.malformed "payload \"((v 1)\" at byte 7\n\tunparsed";
+      Opprox_analysis.Lint_request.bad_version ~got:2;
+      Diagnostic.v ~app:"kmeans" ~phase:1 ~detail:"" ~code:"SRV005" Diagnostic.Warning
+        "budget %g below the %s floor" 0.1 "corpus";
+    ]
+  in
+  let responses =
+    List.concat_map
+      (fun plan ->
+        List.map
+          (fun cache ->
+            Protocol.Plan { plan; cache; models_hash = "0123abcd"; elapsed_ms = 0.04321 })
+          [ Protocol.Corpus; Protocol.Nearest; Protocol.Hit; Protocol.Miss ]
+        @ [
+            Protocol.PlanDelta
+              { delta = Protocol.Replan { from_phase = 1; plan }; elapsed_ms = 2.0 };
+          ])
+      plans
+    @ [
+        Protocol.PlanDelta { delta = Protocol.No_change; elapsed_ms = 0.0 };
+        Protocol.PlanDelta { delta = Protocol.No_change; elapsed_ms = -0.0 };
+        Protocol.Error diags;
+        Protocol.Error [];
+        Protocol.Timeout { elapsed_ms = 12.5; deadline_ms = 1e-3 };
+        Protocol.Overloaded { inflight = 65; limit = 64 };
+      ]
+  in
+  List.iter
+    (fun resp ->
+      let sexp = Protocol.response_to_sexp resp in
+      let frame = Protocol.encode_frame sexp in
+      Alcotest.(check string) "frame = reference bytes" (ref_frame sexp) frame;
+      check_float_atoms sexp;
+      let payload = String.sub frame 4 (String.length frame - 4) in
+      check_bool "parse = reference parse" true
+        (Opprox_util.Sexp.of_string payload = Test_serialize.Ref.of_string payload);
+      match (resp, Protocol.response_of_sexp (Opprox_util.Sexp.of_string payload)) with
+      | Protocol.Plan a, Protocol.Plan b ->
+          check_bool "cache status" true (a.cache = b.cache);
+          Alcotest.(check string) "plan text" (plan_text a.plan) (plan_text b.plan)
+      | ( Protocol.PlanDelta { delta = Protocol.Replan a; _ },
+          Protocol.PlanDelta { delta = Protocol.Replan b; _ } ) ->
+          check_int "from phase" a.from_phase b.from_phase;
+          Alcotest.(check string) "replan text" (plan_text a.plan) (plan_text b.plan)
+      | _, back ->
+          Alcotest.(check string) "reply re-encodes to the same bytes" frame
+            (Protocol.encode_frame (Protocol.response_to_sexp back)))
+    responses
+
 (* Frame IO over a socketpair: framing survives the wire, EOF is clean,
    truncation and absurd lengths are Failures, not hangs or allocations. *)
 
@@ -673,6 +756,8 @@ let suite =
       [
         Alcotest.test_case "request roundtrip" `Quick test_request_roundtrip;
         Alcotest.test_case "response roundtrip" `Quick test_response_roundtrip;
+        Alcotest.test_case "wire bytes match the reference codec" `Quick
+          test_wire_bytes_match_reference;
         Alcotest.test_case "frame roundtrip + EOF" `Quick test_frame_roundtrip;
         Alcotest.test_case "truncated frame" `Quick test_frame_truncation;
         Alcotest.test_case "oversized frame" `Quick test_frame_oversize;
