@@ -50,19 +50,23 @@ stats:
 	@test -s /tmp/opprox_stats_trace.json && echo "stats: trace written (ok)"
 	@rm -f /tmp/opprox_stats_trace.json
 
-# Serving smoke test: a daemon on a temp socket must answer a cold
-# request with a plan (cache miss), the repeat from the cache (hit),
-# reject a bad budget and a malformed frame with nonzero exits, and
-# drain to exit status 0 on SIGTERM.
+# Serving smoke test: a daemon on a temp socket (the select loop plus one
+# pool worker, as `-j 2` gives) must answer a cold request with a plan
+# (cache miss), the repeat from the cache (hit), reject a bad budget and
+# a malformed frame with nonzero exits, answer a burst of 8 concurrent
+# identical cold requests with 8 plans from one solve, and drain to exit
+# status 0 on SIGTERM.  Its metrics dump must show one optimizer solve
+# per distinct budget requested (12 and 7.7).
 serve-smoke:
 	dune build bin/opprox_cli.exe
 	@set -e; \
-	SOCK=$$(mktemp -u /tmp/opprox-smoke-XXXXXX.sock); \
+	DIR=$$(mktemp -d /tmp/opprox-smoke-XXXXXX); \
+	SOCK=$$DIR/serve.sock; \
 	OPX="dune exec --no-build bin/opprox_cli.exe --"; \
-	$$OPX serve --socket $$SOCK --models test/fixtures/trained_kmeans.sexp \
-	  > /tmp/opprox_serve_smoke.log 2>&1 & \
+	$$OPX serve -j 2 --metrics-sexp --socket $$SOCK --models test/fixtures/trained_kmeans.sexp \
+	  > $$DIR/serve.log 2>&1 & \
 	SRV=$$!; \
-	trap 'kill $$SRV 2>/dev/null || true; rm -f $$SOCK /tmp/opprox_serve_smoke.log' EXIT; \
+	trap 'kill $$SRV 2>/dev/null || true; rm -rf $$DIR' EXIT; \
 	for i in $$(seq 1 100); do [ -S $$SOCK ] && break; sleep 0.1; done; \
 	[ -S $$SOCK ] || { echo "serve-smoke: daemon never bound $$SOCK"; exit 1; }; \
 	$$OPX request kmeans --socket $$SOCK --budget 12 | grep -q "source: solved" \
@@ -77,11 +81,25 @@ serve-smoke:
 	if $$OPX request --socket $$SOCK --malformed >/dev/null 2>&1; then \
 	  echo "serve-smoke: malformed frame was NOT rejected"; exit 1; \
 	else echo "serve-smoke: malformed frame rejected (ok)"; fi; \
+	PIDS=""; \
+	for i in 1 2 3 4 5 6 7 8; do \
+	  $$OPX request kmeans --socket $$SOCK --budget 7.7 > $$DIR/burst-$$i.out 2>&1 & \
+	  PIDS="$$PIDS $$!"; \
+	done; \
+	for p in $$PIDS; do wait $$p || true; done; \
+	[ "$$(grep -l "Plan for budget 7.7%" $$DIR/burst-*.out | wc -l)" -eq 8 ] \
+	  || { echo "serve-smoke: burst of 8 identical requests all planned FAILED"; \
+	       cat $$DIR/burst-*.out; exit 1; }; \
+	echo "serve-smoke: burst of 8 identical requests all planned (ok)"; \
 	kill -TERM $$SRV; \
-	if wait $$SRV; then echo "serve-smoke: graceful drain on SIGTERM (ok)"; \
-	else echo "serve-smoke: daemon exited non-zero on SIGTERM"; \
-	  cat /tmp/opprox_serve_smoke.log; exit 1; fi; \
-	if [ -S $$SOCK ]; then echo "serve-smoke: socket file not removed"; exit 1; fi; \
+	wait $$SRV || { echo "serve-smoke: daemon exited non-zero on SIGTERM"; \
+	  cat $$DIR/serve.log; exit 1; }; \
+	echo "serve-smoke: graceful drain on SIGTERM (ok)"; \
+	[ ! -S $$SOCK ] || { echo "serve-smoke: socket file removed FAILED"; exit 1; }; \
+	grep -q "(optimizer.solves counter 2)" $$DIR/serve.log \
+	  || { echo "serve-smoke: one solve per distinct budget FAILED"; \
+	       grep -o "(optimizer.solves [^)]*)" $$DIR/serve.log; exit 1; }; \
+	echo "serve-smoke: one solve per distinct budget (ok)"; \
 	echo "serve-smoke: ok"
 
 # Corpus smoke test: precompute a tiny plan corpus for the committed
@@ -146,8 +164,8 @@ pool-smoke:
 
 # Concurrency smoke test: the seeded defect fixtures must each fail
 # with their documented CONC code, and the deterministic self-exercise
-# suite (pool stress, shardmap, plancache, singleflight, server
-# loopback under seeded interleaving widening) must report clean.
+# suite (pool stress, shardmap, plancache, server loopback under seeded
+# interleaving widening) must report clean.
 conc-smoke:
 	dune build bin/opprox_cli.exe
 	@for f in deadlock unguarded reentrant; do \
@@ -260,8 +278,7 @@ bench:
 # BENCH_search.json) from the bechamel micro-suite.  Exits non-zero if
 # the pool scaling gate fails (inverted scaling, or under 1.5x at j4 on
 # a >= 4-core host), the corpus gate fails (corpus hit over 1.25x an
-# LRU hit, corpus/nn lookups over 0.2 ms, or duplicate solves not held
-# to one per fingerprint under a hot-key loadgen storm), the conc gate
+# LRU hit, or corpus/nn lookups over 0.2 ms), the conc gate
 # fails (disabled-checker Dmutex lock/unlock more than 1.35x a bare
 # Mutex), the control gate fails (the controller not reducing
 # budget-violations vs the static plan on the perturbed-input suite,

@@ -494,7 +494,7 @@ let serve_roundtrip req () =
 
 let serve_fingerprint () =
   ignore
-    (Opprox_serve.Plancache.fingerprint ~app:"comd"
+    (Opprox_corpus.Key.fingerprint ~app:"comd"
        ~input:[| 1.0; 2.0; 3.0 |]
        ~budget:10.0 ~models_hash:"0123456789abcdef0123456789abcdef")
 
@@ -540,13 +540,10 @@ let write_serve_snapshot entries =
    the mmap, the nearest-neighbour fallback (including its per-request
    plan audit), a sharded-LRU hit, and a cold solve.  The raw arms price
    the corpus data structure alone (binary search + record decode).
-   BENCH_corpus.json commits the estimates plus an open-loop loadgen run
-   whose gate proves the singleflight holds duplicate solves to one per
-   fingerprint under hot-key skew. *)
+   BENCH_corpus.json commits the estimates and their gate. *)
 module Corpus = Opprox_corpus.Corpus
 module Corpus_key = Opprox_corpus.Key
 module Precompute = Opprox_corpus.Precompute
-module Loadgen = Opprox_serve.Loadgen
 
 let corpus_budgets = [| 5.0; 10.0; 20.0 |]
 
@@ -615,38 +612,6 @@ let corpus_tests =
     Test.make ~name:"corpus:raw-find-nn" (Staged.stage corpus_raw_find_nn);
   ]
 
-let bench_counter name =
-  match Metrics.find name with Some (Metrics.Counter n) -> n | _ -> 0
-
-(* Hot-key storm against a cold LRU server: 300 Zipf-skewed requests over
-   three fingerprints at a rate far above the cold-solve latency, so the
-   burst piles identical requests onto an unsolved key.  The singleflight
-   must hold total optimizer solves to one per distinct fingerprint. *)
-let corpus_loadgen_dedup () =
-  let tr = Lazy.force optimizer_payload in
-  let server = Serve_server.create [ tr ] in
-  let keys =
-    Array.of_list
-      (List.map
-         (fun budget -> { Loadgen.app = "comd"; input = None; budget })
-         [ 7.7; 13.3; 23.9 ])
-  in
-  let cfg =
-    {
-      Loadgen.default_config with
-      Loadgen.requests = 300;
-      rate = 2000.0;
-      conns = 2;
-      zipf = 1.2;
-      seed = 11;
-    }
-  in
-  let solves0 = bench_counter "optimizer.solves" in
-  let report =
-    Loadgen.run ~connect:(fun () -> Serve_client.loopback server) ~keys cfg
-  in
-  (report, bench_counter "optimizer.solves" - solves0, Array.length keys)
-
 let corpus_snapshot_file = "BENCH_corpus.json"
 let corpus_p50_budget_ms = 0.2
 
@@ -659,7 +624,7 @@ let corpus_p50_budget_ms = 0.2
    only requires the corpus hit to stay in the LRU hit's league. *)
 let corpus_vs_lru_limit = 1.25
 
-let write_corpus_snapshot entries (report, solves, n_keys) =
+let write_corpus_snapshot entries =
   let est name = Option.join (List.assoc_opt name entries) in
   let ms = Option.map (fun ns -> ns /. 1e6) in
   let exact_ms = ms (est "corpus:exact-hit") in
@@ -675,8 +640,7 @@ let write_corpus_snapshot entries (report, solves, n_keys) =
     | Some c, Some n -> c <= corpus_p50_budget_ms && n <= corpus_p50_budget_ms
     | _ -> false
   in
-  let dedup_ok = report.Loadgen.answered = report.Loadgen.sent && solves <= n_keys in
-  let passed = lookup_faster && under_budget && dedup_ok in
+  let passed = lookup_faster && under_budget in
   let oc = open_out corpus_snapshot_file in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"transport\": \"Server.handle (request path, no codecs)\",\n";
@@ -690,35 +654,19 @@ let write_corpus_snapshot entries (report, solves, n_keys) =
         (if i = n - 1 then "" else ","))
     entries;
   Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"loadgen\": {\n";
-  Printf.fprintf oc "    \"requests\": %d,\n" report.Loadgen.sent;
-  Printf.fprintf oc "    \"answered\": %d,\n" report.Loadgen.answered;
-  Printf.fprintf oc "    \"shed\": %d,\n" report.Loadgen.shed;
-  Printf.fprintf oc "    \"errors\": %d,\n" report.Loadgen.errors;
-  Printf.fprintf oc "    \"p50_ms\": %.3f,\n" report.Loadgen.p50_ms;
-  Printf.fprintf oc "    \"p99_ms\": %.3f,\n" report.Loadgen.p99_ms;
-  Printf.fprintf oc "    \"p999_ms\": %.3f,\n" report.Loadgen.p999_ms;
-  Printf.fprintf oc "    \"sources\": { \"corpus\": %d, \"nn\": %d, \"cache\": %d, \"solved\": %d },\n"
-    report.Loadgen.sources.Loadgen.corpus report.Loadgen.sources.Loadgen.nn
-    report.Loadgen.sources.Loadgen.cache report.Loadgen.sources.Loadgen.solved;
-  Printf.fprintf oc "    \"distinct_fingerprints\": %d,\n" n_keys;
-  Printf.fprintf oc "    \"optimizer_solves\": %d\n" solves;
-  Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"gate\": {\n";
   Printf.fprintf oc "    \"corpus_hit_within_ratio_of_lru_hit\": %.2f,\n" corpus_vs_lru_limit;
   Printf.fprintf oc "    \"corpus_hit_within_ratio\": %b,\n" lookup_faster;
   Printf.fprintf oc "    \"corpus_and_nn_under_ms\": %.1f,\n" corpus_p50_budget_ms;
   Printf.fprintf oc "    \"corpus_and_nn_under_budget\": %b,\n" under_budget;
-  Printf.fprintf oc "    \"duplicate_solves_held_to_one_per_fingerprint\": %b,\n" dedup_ok;
   Printf.fprintf oc "    \"passed\": %b\n" passed;
   Printf.fprintf oc "  }\n}\n";
   close_out oc;
   (match (exact_ms, nn_ms, lru_ms) with
   | Some c, Some nn, Some l ->
       Printf.printf
-        "  corpus gate: exact %.4f ms, nn %.4f ms, lru %.4f ms (budget %.1f ms); solves \
-         %d over %d fingerprints\n%!"
-        c nn l corpus_p50_budget_ms solves n_keys
+        "  corpus gate: exact %.4f ms, nn %.4f ms, lru %.4f ms (budget %.1f ms)\n%!" c nn l
+        corpus_p50_budget_ms
   | _ -> Printf.printf "  corpus gate: missing estimates\n%!");
   if not passed then Printf.printf "  CORPUS GATE FAILED (see %s)\n%!" corpus_snapshot_file;
   passed
@@ -1227,7 +1175,7 @@ let run () =
   let corpus_entries = List.concat_map (measure cfg instances) corpus_tests in
   let corpus_entries = List.sort (fun (a, _) (b, _) -> compare a b) corpus_entries in
   List.iter print_entry corpus_entries;
-  let corpus_gate_ok = write_corpus_snapshot corpus_entries (corpus_loadgen_dedup ()) in
+  let corpus_gate_ok = write_corpus_snapshot corpus_entries in
   Printf.printf "  corpus group snapshot -> %s\n%!" corpus_snapshot_file;
   (* Warm the controller payload (training + the static plan) so the
      control arms measure execution, not setup. *)

@@ -16,7 +16,6 @@
                                  sweep input x budget grids into a plan corpus
      serve --models FILE         plan-serving daemon (--corpus, --cache-restore)
      request --app APP -b B      query a daemon (or in-process loopback)
-     loadgen                     open-loop load generator with latency percentiles
 
    Pipeline subcommands also take --trace FILE (Chrome trace-event
    timeline of the run) and --metrics-sexp (dump the registry at exit). *)
@@ -720,8 +719,8 @@ let run_conc_fixture kind =
       exit 2
 
 (* The deterministic self-exercise: drive every concurrent structure the
-   runtime owns — pool, shardmap, plancache, singleflight, and the full
-   server loopback path — under the checker, with seeded yield injection
+   runtime owns — pool, shardmap, plancache, and the full server
+   loopback path — under the checker, with seeded yield injection
    widening the interleavings each repetition explores.  A clean run is
    the evidence `opprox check --concurrency` reports; any discipline
    break surfaces as a CONC diagnostic. *)
@@ -771,23 +770,8 @@ let run_conc_suite ~seed ~reps =
               Opprox_serve.Plancache.add cache key i;
               ignore (Opprox_serve.Plancache.find cache key : int option))
             (Array.init 256 Fun.id);
-          (* Singleflight: a hot-key storm — leaders publish through the
-             entry condvar while followers park on it. *)
-          let sf : int Opprox_serve.Singleflight.t = Opprox_serve.Singleflight.create () in
-          Opprox_util.Pool.parallel_iter ~pool
-            (fun i ->
-              ignore
-                (Opprox_serve.Singleflight.run sf "hot"
-                   (fun () ->
-                     for _ = 0 to 200 do
-                       Domain.cpu_relax ()
-                     done;
-                     i)
-                  : int Opprox_serve.Singleflight.outcome))
-            (Array.init 64 Fun.id);
           (* Server loopback: the full request path (validation, corpus
-             ladder, LRU, singleflight-coalesced solve) from several
-             domains at once. *)
+             ladder, LRU, inline solve) from several domains at once. *)
           Opprox_util.Pool.parallel_iter ~pool
             (fun i ->
               let client = Opprox_serve.Client.loopback server in
@@ -867,7 +851,7 @@ let check_cmd =
       value & flag
       & info [ "concurrency" ]
           ~doc:"Run the concurrency self-exercise suite (pool, shardmap, plancache, \
-                singleflight, server loopback) under the runtime checker with seeded \
+                server loopback) under the runtime checker with seeded \
                 interleaving widening, and report any $(b,CONC) findings (lock-order \
                 cycles, unguarded shared state, reentrancy, foreign release).")
   in
@@ -1330,160 +1314,6 @@ let precompute_cmd =
           answers from without solving.")
     Term.(const run $ jobs_arg $ obs_arg $ models_arg $ budgets_arg $ out_arg $ verbose_arg)
 
-(* --------------------------------------------------------------- loadgen *)
-
-module Loadgen = Opprox_serve.Loadgen
-
-let loadgen_cmd =
-  let loopback_models_arg =
-    Arg.(
-      value
-      & opt_all file []
-      & info [ "models" ] ~docv:"FILE"
-          ~doc:"Without $(b,--socket): drive an in-process loopback server built from these \
-                trained pipelines.")
-  in
-  let corpus_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "corpus" ] ~docv:"FILE"
-          ~doc:"With $(b,--models): plan corpus for the loopback server (a socket daemon \
-                loads its own via $(b,opprox serve --corpus)).")
-  in
-  let apps_arg =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "app" ] ~docv:"NAME"
-          ~doc:"Application(s) to request plans for.  Default: every app the loopback \
-                server holds (required with $(b,--socket)).")
-  in
-  let requests_arg =
-    Arg.(
-      value
-      & opt int Loadgen.default_config.Loadgen.requests
-      & info [ "n"; "requests" ] ~docv:"N" ~doc:"Number of requests in the schedule.")
-  in
-  let rate_arg =
-    Arg.(
-      value
-      & opt float Loadgen.default_config.Loadgen.rate
-      & info [ "rate" ] ~docv:"RPS" ~doc:"Mean arrival rate, requests per second.")
-  in
-  let conns_arg =
-    Arg.(
-      value
-      & opt int Loadgen.default_config.Loadgen.conns
-      & info [ "conns" ] ~docv:"K" ~doc:"Concurrent connections (one domain each).")
-  in
-  let tail_arg =
-    Arg.(
-      value
-      & opt (enum [ ("pareto", `Pareto); ("exp", `Exp) ]) `Pareto
-      & info [ "tail" ] ~docv:"DIST"
-          ~doc:"Interarrival distribution: $(b,pareto) (heavy-tailed bursts) or $(b,exp) \
-                (Poisson).")
-  in
-  let alpha_arg =
-    Arg.(
-      value
-      & opt float 1.5
-      & info [ "alpha" ] ~docv:"A"
-          ~doc:"Pareto shape (must exceed 1; smaller is burstier).  Ignored under \
-                $(b,--tail exp).")
-  in
-  let zipf_arg =
-    Arg.(
-      value
-      & opt float Loadgen.default_config.Loadgen.zipf
-      & info [ "zipf" ] ~docv:"S"
-          ~doc:"Hot-key skew exponent over the (app x budget) key set; 0 is uniform.")
-  in
-  let offgrid_arg =
-    Arg.(
-      value
-      & opt float Loadgen.default_config.Loadgen.offgrid
-      & info [ "offgrid" ] ~docv:"F"
-          ~doc:"Fraction of requests whose budget is nudged off the grid — exercises the \
-                corpus nearest-neighbour fallback.")
-  in
-  let seed_arg =
-    Arg.(
-      value
-      & opt int Loadgen.default_config.Loadgen.seed
-      & info [ "seed" ] ~docv:"N" ~doc:"Schedule seed (the whole arrival/key schedule is \
-                                        deterministic given the seed).")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline-ms" ] ~docv:"MS" ~doc:"Per-request deadline.")
-  in
-  let run () () socket loopback_models corpus_path apps budgets requests rate conns tail alpha
-      zipf offgrid seed deadline_ms verbose =
-    setup_logs verbose;
-    let connect, default_apps =
-      match (socket, loopback_models) with
-      | Some path, _ ->
-          ((fun () -> Client.connect ~socket:path), [])
-      | None, [] ->
-          Printf.eprintf "opprox loadgen: need --socket PATH or --models FILE\n";
-          exit 2
-      | None, models ->
-          let pipelines = load_pipelines ~cmd:"loadgen" models in
-          let config = { Server.default_config with Server.corpus_path } in
-          let server =
-            try Server.create ~config pipelines
-            with Failure msg | Invalid_argument msg ->
-              Printf.eprintf "opprox loadgen: %s\n" msg;
-              exit 2
-          in
-          ((fun () -> Client.loopback server), Server.apps server)
-    in
-    let apps = if apps <> [] then apps else default_apps in
-    if apps = [] then begin
-      Printf.eprintf "opprox loadgen: --socket needs at least one --app NAME\n";
-      exit 2
-    end;
-    let keys =
-      Array.of_list
-        (List.concat_map
-           (fun app ->
-             List.map (fun budget -> { Loadgen.app; input = None; budget }) budgets)
-           apps)
-    in
-    let cfg =
-      {
-        Loadgen.requests;
-        rate;
-        conns;
-        tail = (match tail with `Exp -> Loadgen.Exponential | `Pareto -> Loadgen.Pareto alpha);
-        zipf;
-        offgrid;
-        seed;
-        deadline_ms;
-      }
-    in
-    match Loadgen.run ~connect ~keys cfg with
-    | report -> Format.printf "%a@." Loadgen.pp report
-    | exception Invalid_argument msg ->
-        Printf.eprintf "opprox loadgen: %s\n" msg;
-        exit 2
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:
-         "Open-loop load generator: a seeded schedule of heavy-tailed, Zipf-skewed plan \
-          requests fired at a daemon (or an in-process loopback server), reporting \
-          p50/p99/p999 latency from intended arrival, shed rate, and the \
-          corpus/nn/cache/solved breakdown.")
-    Term.(
-      const run $ jobs_arg $ obs_arg $ socket_arg $ loopback_models_arg $ corpus_arg
-      $ apps_arg $ budgets_arg $ requests_arg $ rate_arg $ conns_arg $ tail_arg $ alpha_arg
-      $ zipf_arg $ offgrid_arg $ seed_arg $ deadline_arg $ verbose_arg)
-
 (* --------------------------------------------------------------- request *)
 
 let request_cmd =
@@ -1666,5 +1496,4 @@ let () =
             precompute_cmd;
             serve_cmd;
             request_cmd;
-            loadgen_cmd;
           ]))

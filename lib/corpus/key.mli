@@ -2,12 +2,12 @@
 
     One request for a plan is identified by (application, input vector,
     QoS budget, models hash).  The serving cache, the precomputed
-    corpus, and the singleflight table all key on the same canonical
-    string so an answer computed by any layer is addressable by every
-    other.  Floats enter the key through their IEEE-754 bit patterns:
-    two requests that are bitwise equal always collide — whatever
-    intermediate re-parsing they went through — and anything a ulp
-    apart never does.
+    corpus, and the daemon's table of solves in flight all key on the
+    same canonical string so an answer computed by any layer is
+    addressable by every other.  Floats enter the key through their
+    IEEE-754 bit patterns: two requests that are bitwise equal always
+    collide — whatever intermediate re-parsing they went through — and
+    anything a ulp apart never does.
 
     The key factors into a {e group} (everything but the budget) and
     the budget itself.  The corpus's nearest-neighbour fallback walks

@@ -180,10 +180,3 @@ let restore of_value t sexp =
       | _ -> failwith "Plancache.restore: malformed snapshot entry")
     (Sexp.to_list sexp);
   !n
-
-(* ------------------------------------------------------------ fingerprint *)
-
-(* The canonical key now lives in {!Opprox_corpus.Key} — the corpus, the
-   LRU, and the singleflight table must agree on it byte for byte.  Kept
-   here as an alias for the existing call sites. *)
-let fingerprint = Opprox_corpus.Key.fingerprint

@@ -3,15 +3,15 @@
     The daemon's whole point is that a plan query for a (app, input,
     budget, models) combination it has answered before must cost a cache
     lookup, not an optimizer solve.  Keys are canonical fingerprints
-    ({!fingerprint}): the IEEE-754 bits of every float go into the key,
-    so two inputs that print alike but differ in the last ulp never
-    collide, and two requests that are bitwise equal always do —
-    whatever intermediate re-parsing they went through.
+    ({!Opprox_corpus.Key.fingerprint}): the IEEE-754 bits of every float
+    go into the key, so two inputs that print alike but differ in the
+    last ulp never collide, and two requests that are bitwise equal
+    always do — whatever intermediate re-parsing they went through.
 
     The table is sharded: a key's shard is a hash of the key, each shard
-    is an independent mutex-guarded LRU, so concurrent worker domains
-    contend per shard rather than on one global lock.  Total capacity is
-    split across shards (remainder to the first shards); the global
+    is an independent mutex-guarded LRU, so in-process callers on
+    several domains contend per shard rather than on one global lock.
+    Total capacity is split across shards (remainder to the first shards); the global
     [size] therefore never exceeds [capacity], though a hot shard can
     evict while a cold one has room — the standard sharding trade.
 
@@ -65,11 +65,3 @@ val restore : (Opprox_util.Sexp.t -> 'v) -> 'v t -> Opprox_util.Sexp.t -> int
     number of entries restored.  Raises [Failure] on a malformed
     snapshot and whatever the value decoder raises on a malformed
     value. *)
-
-val fingerprint : app:string -> input:float array -> budget:float -> models_hash:string -> string
-(** Canonical cache key — an alias of {!Opprox_corpus.Key.fingerprint},
-    shared with the plan corpus and the singleflight table: application
-    name, the IEEE-754 bit pattern of every input component and of the
-    budget, and the models hash.  Equal requests — also
-    equal-but-reconstructed ones — map to equal keys; any bit of
-    difference changes the key. *)

@@ -67,7 +67,6 @@ type t = {
       (* cached values are always [Plan {cache = Miss; ...}] templates;
          hits re-stamp the cache status and elapsed time *)
   corpus : Corpus.t option;
-  flight : Protocol.response Singleflight.t;
   pool : Pool.t option;  (* [None]: the shared default pool *)
   inflight : int Atomic.t;
   stopping : bool Atomic.t;
@@ -95,47 +94,61 @@ let save_cache_snapshot t path =
          ("cache", Plancache.to_sexp Protocol.response_to_sexp t.cache);
        ])
 
+(* Exceptions no request or file defect can cause; everything else is
+   answered or reported, never allowed to take the daemon down. *)
+let fatal = function
+  | Stdlib.Exit | Stack_overflow | Out_of_memory | Assert_failure _ -> true
+  | _ -> false
+
+(* Every restored plan is audited against the models it claims, as a
+   nearest-neighbour corpus hit is: a snapshot is served unchecked from
+   then on, so one bad entry rejects it whole. *)
 let restore_cache_snapshot t path =
-  let reject fmt =
-    Printf.ksprintf
-      (fun why ->
-        Metrics.incr m_restore_rejected;
-        Log.warn (fun m -> m "cache snapshot %s rejected: %s" path why);
-        false)
-      fmt
+  let audit = function
+    | Protocol.Plan p as reply -> (
+        match Seq.find (fun s -> s.hash = p.models_hash) (Hashtbl.to_seq_values t.served) with
+        | None -> failwith "a cached plan names no served models"
+        | Some s -> (
+            match
+              Diagnostic.errors (Opprox.Optimizer.lint ~models:s.trained.Opprox.models p.plan)
+            with
+            | [] -> reply
+            | d :: _ ->
+                failwith (Format.asprintf "a cached plan fails the audit: %a" Diagnostic.pp d)))
+    | _ -> failwith "a cached value is not a plan"
   in
-  match Opprox_util.Sexp.load path with
-  | exception Failure msg -> reject "%s" msg
-  | sexp -> (
-      match
-        List.map
-          (fun e ->
-            match Sexp.to_list e with
-            | [ app; h ] -> (Sexp.to_string_atom app, Sexp.to_string_atom h)
-            | _ -> failwith "malformed models entry")
-          (Sexp.to_list (Sexp.field sexp "models"))
-      with
-      | exception Failure msg -> reject "%s" msg
-      | recorded -> (
-          let stale =
-            List.filter
-              (fun (app, h) ->
-                match Hashtbl.find_opt t.served app with
-                | Some s -> s.hash <> h
-                | None -> true)
-              recorded
-          in
-          match stale with
-          | (app, _) :: _ ->
-              reject "models hash mismatch for %s (snapshot predates a retrain?)" app
-          | [] -> (
-              match
-                Plancache.restore Protocol.response_of_sexp t.cache (Sexp.field sexp "cache")
-              with
-              | exception Failure msg -> reject "%s" msg
-              | n ->
-                  Log.app (fun m -> m "restored %d cached plan(s) from %s" n path);
-                  true)))
+  match
+    let sexp = Sexp.load path in
+    let recorded =
+      List.map
+        (fun e ->
+          match Sexp.to_list e with
+          | [ app; h ] -> (Sexp.to_string_atom app, Sexp.to_string_atom h)
+          | _ -> failwith "malformed models entry")
+        (Sexp.to_list (Sexp.field sexp "models"))
+    in
+    List.iter
+      (fun (app, h) ->
+        match Hashtbl.find_opt t.served app with
+        | Some s when s.hash = h -> ()
+        | _ ->
+            failwith
+              (Printf.sprintf "models hash mismatch for %s (snapshot predates a retrain?)" app))
+      recorded;
+    Plancache.restore
+      (fun v -> audit (Protocol.response_of_sexp v))
+      t.cache (Sexp.field sexp "cache")
+  with
+  | n ->
+      Log.app (fun m -> m "restored %d cached plan(s) from %s" n path);
+      true
+  | exception e when not (fatal e) ->
+      Plancache.clear t.cache;
+      Metrics.incr m_restore_rejected;
+      Log.warn (fun m ->
+          m "cache snapshot %s rejected: %s" path
+            (match e with Failure msg -> msg | e -> Printexc.to_string e));
+      false
 
 (* [select] watches only descriptors below FD_SETSIZE (1024).  Admitted
    connections share that range with everything else the daemon holds
@@ -209,7 +222,6 @@ let create ?(config = default_config) pipelines =
       target;
       cache = Plancache.create ~shards:config.cache_shards ~capacity:config.cache_capacity ();
       corpus;
-      flight = Singleflight.create ();
       pool = Option.map (fun jobs -> Pool.create ~jobs ()) config.jobs;
       inflight = Atomic.make 0;
       stopping = Atomic.make false;
@@ -229,12 +241,37 @@ let inflight t = Atomic.get t.inflight
 
 (* ------------------------------------------------------------ request path *)
 
-(* What the request ladder decided on the calling domain: the reply, or a
-   solve still to run.  The socket reactor runs the ladder inline and
-   sends only [Solve] to a pool worker. *)
-type step = Reply of Protocol.response | Solve of (unit -> Protocol.response)
+(* What a solve produced: a plan, or the diagnostics it failed with. *)
+type solved = (Opprox.Optimizer.plan, Diagnostic.t list) result
 
-let run_step = function Reply r -> r | Solve solve -> solve ()
+(* A solve the lookups could not avoid.  A pool worker runs [solve] and
+   nothing else; the caller — the select loop, or [handle] inline — runs
+   [commit] once per solve, then [finish] once per request waiting on it. *)
+type job = {
+  key : string option;
+      (* a plan request's fingerprint: a duplicate arriving while this
+         solve runs waits for it instead of starting its own *)
+  solve : unit -> solved;
+  commit : solved -> unit;
+  finish : solved -> Protocol.response;
+}
+
+(* What the request ladder decided on the calling domain: the reply, or a
+   solve still to run. *)
+type step = Reply of Protocol.response | Solve of job
+
+let timed_solve f : solved =
+  let t_solve = Trace.now_us () in
+  match Trace.with_span ~cat:"server" "server.solve" f with
+  | plan ->
+      Metrics.observe m_solve_us (Trace.now_us () -. t_solve);
+      Ok plan
+  | exception Diagnostic.Lint_error ds -> Error ds
+  | exception e when not (fatal e) -> Error [ Lint_request.internal (Printexc.to_string e) ]
+
+let error_reply ds =
+  Metrics.incr m_errors;
+  Protocol.Error ds
 
 (* Validate + lookups for one admitted request, and the deadline-checked
    solve when they all miss.  [t0_us] is when the request entered the
@@ -254,10 +291,7 @@ let process t (req : Protocol.request) ~t0_us =
         }
       in
       let diags = Lint_request.check t.target view in
-      if Diagnostic.errors diags <> [] then begin
-        Metrics.incr m_errors;
-        Reply (Protocol.Error diags)
-      end
+      if Diagnostic.errors diags <> [] then Reply (error_reply diags)
       else begin
         let served = Hashtbl.find t.served req.Protocol.app in
         let input =
@@ -283,8 +317,7 @@ let process t (req : Protocol.request) ~t0_us =
         (* Lookup-first, most- to least-precomputed: corpus exact hit,
            then the adjacent budget-grid cell (conservative tightening,
            re-audited before reply), then the LRU.  Only a miss through
-           all three pays a solve — and at most one request per
-           fingerprint pays it; the rest park on the singleflight. *)
+           all three pays a solve. *)
         let corpus_lookup () =
           match t.corpus with
           | None -> None
@@ -327,66 +360,33 @@ let process t (req : Protocol.request) ~t0_us =
                 | Some (Protocol.Plan p) -> Some (Protocol.Plan { p with cache = Protocol.Hit })
                 | Some _ | None -> None)
         in
+        let solved_reply plan elapsed_ms =
+          Protocol.Plan { plan; cache = Protocol.Miss; models_hash = served.hash; elapsed_ms }
+        in
         match lookup () with
         | Some (Protocol.Plan p) -> Reply (Protocol.Plan { p with elapsed_ms = elapsed_ms () })
         | Some r -> Reply r
+        | None when timed_out () -> Reply (timeout ())
         | None ->
             Solve
-              (fun () ->
-                if timed_out () then timeout ()
-                else
-                  let solve () =
-                    let solved =
-                      try
-                        let t_solve = Trace.now_us () in
-                        let plan =
-                          Trace.with_span ~cat:"server" "server.solve" (fun () ->
-                              Opprox.optimize ~input served.trained ~budget:req.Protocol.budget)
-                        in
-                        Metrics.observe m_solve_us (Trace.now_us () -. t_solve);
-                        Ok plan
-                      with
-                      | Diagnostic.Lint_error ds -> Result.Error ds
-                      | Stdlib.Exit | Stack_overflow | Out_of_memory | Assert_failure _ as e ->
-                          raise e
-                      | e -> Result.Error [ Lint_request.internal (Printexc.to_string e) ]
-                    in
-                    match solved with
-                    | Result.Error ds ->
-                        Metrics.incr m_errors;
-                        Protocol.Error ds
-                    | Ok plan ->
-                        let reply =
-                          Protocol.Plan
-                            {
-                              plan;
-                              cache = Protocol.Miss;
-                              models_hash = served.hash;
-                              elapsed_ms = elapsed_ms ();
-                            }
-                        in
-                        Plancache.add t.cache key reply;
-                        reply
-                  in
-                  (* One in-flight solve per fingerprint: concurrent identical
-                     requests (no_cache ones included — solves are
-                     deterministic) park on the leader and share its reply. *)
-                  let resp =
-                    match Singleflight.run t.flight key solve with
-                    | Singleflight.Led r ->
-                        Metrics.incr m_sf_leaders;
-                        r
-                    | Singleflight.Joined r ->
-                        Metrics.incr m_sf_coalesced;
-                        r
-                  in
-                  match resp with
-                  | Protocol.Plan p ->
-                      (* The plan is kept (so the retry hits the cache), but a
-                         missed deadline still gets an honest timeout reply. *)
-                      if timed_out () then timeout ()
-                      else Protocol.Plan { p with elapsed_ms = elapsed_ms () }
-                  | r -> r)
+              {
+                key = Some key;
+                solve =
+                  (fun () ->
+                    timed_solve (fun () ->
+                        Opprox.optimize ~input served.trained ~budget:req.Protocol.budget));
+                commit =
+                  (function
+                  | Ok plan -> Plancache.add t.cache key (solved_reply plan 0.0)
+                  | Error _ -> ());
+                finish =
+                  (function
+                  | Error ds -> error_reply ds
+                  (* The plan is kept (so the retry hits the cache), but a
+                     missed deadline still gets an honest timeout reply. *)
+                  | Ok _ when timed_out () -> timeout ()
+                  | Ok plan -> solved_reply plan (elapsed_ms ()));
+              }
       end)
 
 (* ---------------------------------------------------------- telemetry path *)
@@ -424,56 +424,42 @@ let process_telemetry t (tm : Protocol.telemetry) ~t0_us =
         else []
       in
       let diags = shape_diags @ Lint_request.check t.target view in
-      if Diagnostic.errors diags <> [] then begin
-        Metrics.incr m_errors;
-        Reply (Protocol.Error diags)
-      end
+      if Diagnostic.errors diags <> [] then Reply (error_reply diags)
       else if tm.Protocol.drift <= tm.Protocol.drift_tol then
         Reply (Protocol.PlanDelta { delta = Protocol.No_change; elapsed_ms = elapsed_ms () })
       else begin
-        let served = Hashtbl.find t.served tm.Protocol.t_app in
-        let trained = served.trained in
+        let trained = (Hashtbl.find t.served tm.Protocol.t_app).trained in
         let input =
           match tm.Protocol.t_input with
           | Some i -> i
           | None -> trained.Opprox.app.App.default_input
         in
+        let from_phase = tm.Protocol.phase + 1 in
         Solve
-          (fun () ->
-            match
-              let t_solve = Trace.now_us () in
-              let plan =
-                Trace.with_span ~cat:"server" "server.solve" (fun () ->
+          {
+            key = None;
+            solve =
+              (fun () ->
+                timed_solve (fun () ->
                     Opprox.Optimizer.solver ~models:trained.Opprox.models ~roi:trained.Opprox.roi
-                      ~input ()
-                      ~first_phase:(tm.Protocol.phase + 1)
+                      ~input () ~first_phase:from_phase
                       ~budget:(Float.max 0.0 tm.Protocol.remaining_budget)
-                      ())
-              in
-              Metrics.observe m_solve_us (Trace.now_us () -. t_solve);
-              plan
-            with
-            | exception Diagnostic.Lint_error ds ->
-                Metrics.incr m_errors;
-                Protocol.Error ds
-            | exception
-                ((Stdlib.Exit | Stack_overflow | Out_of_memory | Assert_failure _) as e) ->
-                raise e
-            | exception e ->
-                Metrics.incr m_errors;
-                Protocol.Error [ Lint_request.internal (Printexc.to_string e) ]
-            | plan ->
-                Metrics.incr m_deltas;
-                Log.info (fun m ->
-                    m "%s: drift %.2f > tol %.2f after phase %d; replanned phases %d.. against \
-                       budget %.3f"
-                      tm.Protocol.t_app tm.Protocol.drift tm.Protocol.drift_tol tm.Protocol.phase
-                      (tm.Protocol.phase + 1) tm.Protocol.remaining_budget);
-                Protocol.PlanDelta
-                  {
-                    delta = Protocol.Replan { from_phase = tm.Protocol.phase + 1; plan };
-                    elapsed_ms = elapsed_ms ();
-                  })
+                      ()));
+            commit = ignore;
+            finish =
+              (function
+              | Error ds -> error_reply ds
+              | Ok plan ->
+                  Metrics.incr m_deltas;
+                  Log.info (fun m ->
+                      m
+                        "%s: drift %.2f > tol %.2f after phase %d; replanned phases %d.. \
+                         against budget %.3f"
+                        tm.Protocol.t_app tm.Protocol.drift tm.Protocol.drift_tol
+                        tm.Protocol.phase from_phase tm.Protocol.remaining_budget);
+                  Protocol.PlanDelta
+                    { delta = Protocol.Replan { from_phase; plan }; elapsed_ms = elapsed_ms () });
+          }
       end)
 
 (* Admission around one request: bump the in-flight counter, shed when
@@ -492,44 +478,53 @@ let with_admission t f =
       end
       else f ())
 
-let handle t req =
+(* The in-process path runs a solve on the calling domain, with no
+   coalescing: concurrent duplicates each solve. *)
+let run_step = function
+  | Reply r -> r
+  | Solve job ->
+      let solved = job.solve () in
+      job.commit solved;
+      job.finish solved
+
+let run_inline t process x =
   let t0_us = Trace.now_us () in
-  let resp = with_admission t (fun () -> run_step (process t req ~t0_us)) in
+  let resp = with_admission t (fun () -> run_step (process t x ~t0_us)) in
   Metrics.observe m_request_us (Trace.now_us () -. t0_us);
   resp
 
-let handle_telemetry t tm =
-  let t0_us = Trace.now_us () in
-  let resp = with_admission t (fun () -> run_step (process_telemetry t tm ~t0_us)) in
-  Metrics.observe m_request_us (Trace.now_us () -. t0_us);
-  resp
+let handle t req = run_inline t process req
+let handle_telemetry t tm = run_inline t process_telemetry tm
 
 (* ------------------------------------------------------------- socket side *)
 
-(* One admitted connection.  The reactor owns it while [busy] is false; a
-   dispatched solve owns it — and writes its reply — until it is handed
-   back.  Only the reactor reads or writes [busy]. *)
+(* One admitted connection; only the select loop touches it. *)
 type conn = {
   fd : Unix.file_descr;
   frames : Protocol.Splitter.t;
   mutable out : string;  (* the reply being written, from [out_off] on *)
   mutable out_off : int;
-  mutable busy : bool;
+  mutable busy : bool;  (* a request waits on a solve; later frames wait behind it *)
   mutable eof : bool;  (* the peer has sent its last byte *)
   mutable closing : bool;  (* close once [out] is flushed *)
   mutable last_io_us : float;  (* the idle deadline runs from here *)
 }
 
+(* A dispatched solve and the requests waiting on it, newest first: the
+   one that started it, then every duplicate that arrived while it ran. *)
+type flight = { mutable waiting : (conn * float * job) list (* connection, t0_us, job *) }
+
 (* The select loop's state.  Workers touch only [handback], under [lock],
    and the wake-up pipe's write end. *)
 type reactor = {
   conns : (Unix.file_descr, conn) Hashtbl.t;  (* every admitted connection *)
+  flights : (string, flight) Hashtbl.t;  (* plan solves running, by fingerprint *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   lock : Dmutex.t;
-  handback : conn list option Guarded.t;
-      (* connections returned by workers, newest first; [None] once the
-         loop has exited, and a finishing worker closes its own *)
+  handback : (flight * solved) list option Guarded.t;
+      (* solves finished by workers, newest first; [None] once the loop
+         has exited, and a solve finishing later is dropped *)
 }
 
 let pending c = c.out_off < String.length c.out
@@ -559,7 +554,8 @@ let rec flush c =
         c.out_off <- 0;
         c.closing <- true
 
-let send c resp =
+let send c ~t0_us resp =
+  Metrics.observe m_request_us (Trace.now_us () -. t0_us);
   c.out <- Protocol.encode_frame (Protocol.response_to_sexp resp);
   c.out_off <- 0;
   flush c
@@ -567,14 +563,9 @@ let send c resp =
 (* Decode one complete frame.  A well-framed but invalid payload gets an
    SRV004/SRV005 reply and the connection stays open. *)
 let step_of_frame t frame ~t0_us =
-  let malformed msg =
-    Metrics.incr m_errors;
-    Reply (Protocol.Error [ Lint_request.malformed msg ])
-  in
+  let malformed msg = Reply (error_reply [ Lint_request.malformed msg ]) in
   match Protocol.frame_version frame with
-  | v when v <> Protocol.version ->
-      Metrics.incr m_errors;
-      Reply (Protocol.Error [ Lint_request.bad_version ~got:v ])
+  | v when v <> Protocol.version -> Reply (error_reply [ Lint_request.bad_version ~got:v ])
   | _ -> (
       match (try Protocol.frame_kind frame with Failure _ -> "<malformed>") with
       | "telemetry" -> (
@@ -587,43 +578,50 @@ let step_of_frame t frame ~t0_us =
           | req -> process t req ~t0_us)
       | k -> malformed (Printf.sprintf "unknown frame kind %S" k))
 
-(* Worker side, after the reply: return the connection and wake the loop.
-   The wake byte is written under the lock, so it never lands in a pipe
-   the exiting loop has closed. *)
-let hand_back t r c =
+(* Worker side: queue a finished solve for the loop and wake it.  The
+   wake byte is written under the lock, so it never lands in a pipe the
+   exiting loop has closed. *)
+let hand_back r f solved =
   Dmutex.lock r.lock;
   (match Guarded.get r.handback with
-  | Some cs -> (
-      Guarded.set r.handback (Some (c :: cs));
+  | Some finished -> (
+      Guarded.set r.handback (Some ((f, solved) :: finished));
       (* A full pipe already guarantees a wake-up. *)
       try ignore (Unix.single_write_substring r.wake_w "!" 0 1) with Unix.Unix_error _ -> ())
-  | None -> release t c.fd);
+  | None -> ());
   Dmutex.unlock r.lock
 
-let dispatch t r c solve ~t0_us =
+(* Park the connection on the solve already running for its fingerprint,
+   or start one on a pool worker. *)
+let dispatch t r c ~t0_us job =
   c.busy <- true;
-  Pool.async ?pool:t.pool (fun () ->
-      Fun.protect
-        ~finally:(fun () -> hand_back t r c)
-        (fun () ->
-          match solve () with
-          | resp ->
-              Metrics.observe m_request_us (Trace.now_us () -. t0_us);
-              send c resp
+  match Option.bind job.key (Hashtbl.find_opt r.flights) with
+  | Some f ->
+      Metrics.incr m_sf_coalesced;
+      f.waiting <- (c, t0_us, job) :: f.waiting
+  | None ->
+      let f = { waiting = [ (c, t0_us, job) ] } in
+      Option.iter
+        (fun key ->
+          Metrics.incr m_sf_leaders;
+          Hashtbl.replace r.flights key f)
+        job.key;
+      Pool.async ?pool:t.pool (fun () ->
+          match job.solve () with
+          | solved -> hand_back r f solved
           | exception e ->
-              c.closing <- true;
-              raise e))
+              hand_back r f (Error [ Lint_request.internal (Printexc.to_string e) ]);
+              raise e)
 
-(* Answer the connection's buffered frames in order until one goes to a
-   worker, a reply is left half-written, or no complete frame is left.
-   A drain starts nothing new. *)
+(* Answer the connection's buffered frames in order until one waits on a
+   solve, a reply is left half-written, or no complete frame is left.  A
+   drain starts nothing new. *)
 let rec pump t r c =
   if not (c.busy || c.closing || pending c || Atomic.get t.stopping) then
     let frame_error msg =
       (* A frame that cannot be split or parsed ends the connection,
          after one reply. *)
-      Metrics.incr m_errors;
-      send c (Protocol.Error [ Lint_request.malformed msg ]);
+      send c ~t0_us:(Trace.now_us ()) (error_reply [ Lint_request.malformed msg ]);
       c.closing <- true
     in
     match Protocol.Splitter.next c.frames with
@@ -631,16 +629,31 @@ let rec pump t r c =
     | Some frame ->
         let t0_us = Trace.now_us () in
         (match step_of_frame t frame ~t0_us with
-        | Reply resp ->
-            Metrics.observe m_request_us (Trace.now_us () -. t0_us);
-            send c resp
-        | Solve solve -> dispatch t r c solve ~t0_us);
+        | Reply resp -> send c ~t0_us resp
+        | Solve job -> dispatch t r c ~t0_us job);
         pump t r c
     | None when c.eof -> (
         match Protocol.Splitter.finish c.frames with
         | () -> c.closing <- true
         | exception Failure msg -> frame_error msg)
     | None -> ()
+
+(* A solve is back: cache its plan, answer every request waiting on it in
+   arrival order, each against its own deadline, then go on with each
+   connection's next frames. *)
+let complete t r f solved =
+  let waiting = List.rev f.waiting in
+  (match waiting with
+  | (_, _, lead) :: _ ->
+      Option.iter (Hashtbl.remove r.flights) lead.key;
+      lead.commit solved
+  | [] -> ());
+  List.iter
+    (fun (c, t0_us, job) ->
+      c.busy <- false;
+      send c ~t0_us (job.finish solved))
+    waiting;
+  List.iter (fun (c, _, _) -> pump t r c) waiting
 
 let on_readable t r c =
   match Protocol.Splitter.read c.frames c.fd with
@@ -652,23 +665,19 @@ let on_readable t r c =
       Log.debug (fun m -> m "connection dropped: %s" (Unix.error_message e));
       c.closing <- true
 
-(* Take the connections workers have returned, in hand-back order, and
-   leave [next] in their place. *)
+(* Take the solves workers have finished, in hand-back order, and leave
+   [next] in their place. *)
 let swap_handback r next =
   Dmutex.lock r.lock;
-  let returned = Option.value ~default:[] (Guarded.get r.handback) in
+  let finished = Option.value ~default:[] (Guarded.get r.handback) in
   Guarded.set r.handback next;
   Dmutex.unlock r.lock;
-  List.rev_map
-    (fun c ->
-      c.busy <- false;
-      c)
-    returned
+  List.rev finished
 
 let take_handbacks t r =
   (* Bytes left over only cost a spare wake-up. *)
   (try ignore (Unix.read r.wake_r (Bytes.create 64) 0 64) with Unix.Unix_error _ -> ());
-  List.iter (pump t r) (swap_handback r (Some []))
+  List.iter (fun (f, solved) -> complete t r f solved) (swap_handback r (Some []))
 
 let accept t r lsock =
   match Unix.accept ~cloexec:true lsock with
@@ -709,7 +718,7 @@ let accept t r lsock =
 
 (* Close what is done: connections flushed after EOF or an error, idle
    past [idle_timeout_s] (a reply the peer will not read counts as idle),
-   or idle when a drain starts.  Connections held by workers are left. *)
+   or idle when a drain starts.  Connections waiting on a solve are left. *)
 let sweep t r ~now_us =
   let stopping = Atomic.get t.stopping in
   let idle_us = t.config.idle_timeout_s *. 1e6 in
@@ -768,22 +777,20 @@ let run_reactor t r lsock =
   in
   loop ()
 
-(* Stop the loop for good: from here on a finishing worker closes its own
-   connection.  Returns how many connections still held a request — a
-   solve on a worker, or a reply not fully written. *)
+(* Stop the loop for good: from here on a finishing solve is dropped.
+   Closes every connection and returns how many still held a request — one
+   waiting on a solve, or a reply not fully written. *)
 let close_reactor t r =
   ignore (swap_handback r None);
   let unfinished =
     Hashtbl.fold
       (fun fd c n ->
-        if c.busy then n + 1
-        else begin
-          release t fd;
-          if pending c then n + 1 else n
-        end)
+        release t fd;
+        if c.busy || pending c then n + 1 else n)
       r.conns 0
   in
   Hashtbl.reset r.conns;
+  Hashtbl.reset r.flights;
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ r.wake_r; r.wake_w ];
   unfinished
 
@@ -820,6 +827,7 @@ let serve t ~socket =
       let r =
         {
           conns = Hashtbl.create 64;
+          flights = Hashtbl.create 16;
           wake_r;
           wake_w;
           lock;

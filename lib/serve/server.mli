@@ -27,20 +27,23 @@
     + {b Cache} — {!Plancache} keyed by the canonical fingerprint of
       (app, input bits, models hash, budget bits).  With
       [cache_snapshot] set, the LRU is restored from the snapshot at
-      startup (rejected wholesale on a models-hash mismatch:
-      [plancache.restore.rejected]) and saved after the shutdown drain.
+      startup and saved after the shutdown drain.  A snapshot is rejected
+      wholesale ([plancache.restore.rejected], an empty LRU) when its
+      models hashes differ from the served ones, when it does not decode,
+      or when any restored plan fails the {!Opprox.Optimizer.lint} audit.
     + {b Deadline} — cooperative: checked after the lookups miss and
-      again after the solve.  A missed deadline replies [Timeout] (the
-      solved plan still enters the cache, so the retry hits).
+      again, per request, when the solve comes back.  A missed deadline
+      replies [Timeout] (the solved plan still enters the cache, so the
+      retry hits).
     + {b Solve} — {!Opprox.optimize} on a {!Opprox_util.Pool} worker
-      domain (everything above runs inline on the caller — for the
-      socket transport, the select loop), coalesced per fingerprint
-      through {!Singleflight}: under a
-      hot-key storm, one request leads the solve
-      ([server.singleflight.leaders]) and the duplicates park and share
-      its reply ([server.singleflight.coalesced]).  Concurrent solves
-      share nothing but the models (immutable after load) and the
-      mutex-guarded caches.
+      domain, which runs the solve and nothing else: everything above,
+      the cache insert and every reply run on the caller — for the socket
+      transport, the select loop.  The loop keeps one solve per
+      fingerprint in flight: a miss on a key already being solved waits
+      for that solve ([server.singleflight.coalesced]) and is answered
+      from it as solved; any other miss starts one
+      ([server.singleflight.leaders]).  The in-process {!handle} solves
+      inline and coalesces nothing.
 
     The same path backs both transports: the Unix-domain-socket select
     loop ({!serve}) and the in-process loopback ({!handle}) that tests
@@ -54,13 +57,16 @@ type config = {
   jobs : int option;
       (** size of the pool that runs solves (cache misses and telemetry
           re-solves); [None] = the shared {!Opprox_util.Pool.default}
-          pool.  Connections do not take a worker: with one job, solves
-          run on the select loop itself. *)
+          pool.  A worker only solves; connections, the cache and the
+          replies stay on the select loop.  With one job, solves run on
+          the select loop itself. *)
   max_inflight : int;
       (** admission bound, counted per open connection; default 64, at
           most {!max_inflight_limit} *)
   cache_capacity : int;  (** plan-cache entries; default 512 *)
-  cache_shards : int;  (** default 8 *)
+  cache_shards : int;
+      (** default 8; only the select loop and in-process {!handle}
+          calls touch the cache *)
   default_deadline_ms : float option;
       (** applied to requests that carry no deadline; default [None] *)
   idle_timeout_s : float;
@@ -130,21 +136,23 @@ val serve : t -> socket:string -> unit
 
     Each connection keeps its own read buffer ({!Protocol.Splitter}): one
     [read] per readable event, and a frame is handled only once it is
-    complete.  Validation and the corpus / LRU lookups run inline; a
-    miss (or a telemetry re-solve) goes to a pool worker, which writes
-    the reply itself and hands the connection back through the pipe.  A
-    connection's frames are answered in order — pipelined frames wait
-    for the solve ahead of them.  Replies are written non-blocking: a
-    client that does not read keeps at most one reply pending and is not
-    read from until it drains, so it never stalls other connections.
+    complete.  Validation, the corpus / LRU lookups, the cache insert
+    and every reply run on the loop; a pool worker only runs the solve of
+    a miss (or a telemetry re-solve) and hands its result back through the
+    pipe.  Identical misses share one solve.  A connection's frames are
+    answered in order — pipelined frames wait for the solve ahead of
+    them.  Replies are written non-blocking: a client that does not read
+    keeps at most one reply pending and is not read from until it
+    drains, so it never stalls other connections.
 
     Admission is checked per accepted connection; shed connections get
     one [Overloaded] frame and are closed.  Frame-level garbage gets an
     [SRV004] reply, including a frame cut short by EOF.  SIGPIPE is
     ignored, so a peer that hangs up costs only its own connection.  On
     {!stop}: stop accepting, close idle connections at once, wait up to
-    [drain_timeout_s] for dispatched solves and unwritten replies, save
-    the cache snapshot, remove the socket file, return.  Raises
+    [drain_timeout_s] for dispatched solves and unwritten replies (a
+    connection still waiting then is closed without a reply), save the
+    cache snapshot, remove the socket file, return.  Raises
     [Unix.Unix_error] if the socket cannot be bound. *)
 
 val stop : t -> unit
@@ -167,10 +175,12 @@ val save_cache_snapshot : t -> string -> unit
     when [cache_snapshot] is set. *)
 
 val restore_cache_snapshot : t -> string -> bool
-(** Replay a snapshot into the live LRU.  [false] — with a warning and a
-    [plancache.restore.rejected] bump — when the file is unreadable,
-    malformed, or stamped with models hashes that differ from the served
-    pipelines; never raises.  {!create} calls this at startup when
+(** Replay a snapshot into the live LRU, auditing every plan against its
+    models ({!Opprox.Optimizer.lint}).  [false] — with a warning, a
+    [plancache.restore.rejected] bump and an emptied LRU — when the file
+    is unreadable, does not decode, is stamped with models hashes that
+    differ from the served pipelines, or holds a plan that fails the
+    audit; a bad file never raises.  {!create} calls this at startup when
     [cache_snapshot] names an existing file. *)
 
 val inflight : t -> int

@@ -1,8 +1,7 @@
 (* Tests for the online phase-boundary controller (Controller), its
    serving-protocol telemetry surface (telemetry frames in, plan deltas
    out), and the accounting bugfixes that ride along: the optimizer's
-   sub-budget split, Phases.probe seeding, and the loadgen percentile
-   pass.
+   sub-budget split and Phases.probe seeding.
 
    The controller tests run on a registry application because control
    needs the iterative interface; bodytrack is retrained at a small
@@ -19,7 +18,6 @@ module Phases = Opprox.Phases
 module Protocol = Opprox_serve.Protocol
 module Server = Opprox_serve.Server
 module Client = Opprox_serve.Client
-module Loadgen = Opprox_serve.Loadgen
 module Diagnostic = Opprox_analysis.Diagnostic
 module Sexp = Opprox_util.Sexp
 open Fixtures
@@ -206,25 +204,6 @@ let test_search_pins_post_fix_result () =
   Alcotest.(check (array (float 1e-3)))
     "pinned probe means" [| 4.89895; 4.9907 |] p.Phases.mean_qos_per_phase
 
-(* --------------------------------------------------- loadgen percentiles *)
-
-let test_percentiles_drop_nonfinite () =
-  let sorted, dropped =
-    Loadgen.finite_sorted [ 5.0; Float.nan; 1.0; Float.infinity; 3.0; Float.neg_infinity ]
-  in
-  check_int "three dropped" 3 dropped;
-  Alcotest.(check (array (float 0.0))) "sorted ascending" [| 1.0; 3.0; 5.0 |] sorted;
-  check_float "p50" 3.0 (Loadgen.percentile sorted 0.50);
-  check_float "p999 is the finite max" 5.0 (Loadgen.percentile sorted 0.999)
-
-let test_percentiles_empty_and_clean () =
-  let sorted, dropped = Loadgen.finite_sorted [] in
-  check_int "nothing dropped" 0 dropped;
-  check_bool "empty percentile is NaN" true (Float.is_nan (Loadgen.percentile sorted 0.5));
-  let sorted, dropped = Loadgen.finite_sorted [ 2.0; -1.0; 0.0 ] in
-  check_int "finite samples all kept" 0 dropped;
-  Alcotest.(check (array (float 0.0))) "negatives order correctly" [| -1.0; 0.0; 2.0 |] sorted
-
 (* ----------------------------------------------------- telemetry codecs *)
 
 let roundtrip_telemetry tm =
@@ -380,10 +359,6 @@ let suite =
           test_probe_seed_is_caller_seed;
         Alcotest.test_case "search pins the post-fix result" `Quick
           test_search_pins_post_fix_result;
-        Alcotest.test_case "percentiles drop non-finite samples" `Quick
-          test_percentiles_drop_nonfinite;
-        Alcotest.test_case "percentiles on empty and clean input" `Quick
-          test_percentiles_empty_and_clean;
       ] );
     ( "control-telemetry",
       [

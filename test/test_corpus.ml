@@ -1,7 +1,7 @@
 (* Tests for the precomputed plan corpus (Opprox_corpus) and the
    lookup-first serving path built on it: fingerprint/corpus roundtrips,
-   nearest-neighbour budget fallback, CORP diagnostics, singleflight
-   solve coalescing, and LRU snapshot/restore across server restarts. *)
+   nearest-neighbour budget fallback, CORP diagnostics, and LRU
+   snapshot/restore across server restarts. *)
 
 module Corpus = Opprox_corpus.Corpus
 module Key = Opprox_corpus.Key
@@ -10,7 +10,6 @@ module Plancache = Opprox_serve.Plancache
 module Protocol = Opprox_serve.Protocol
 module Server = Opprox_serve.Server
 module Client = Opprox_serve.Client
-module Singleflight = Opprox_serve.Singleflight
 module Diagnostic = Opprox_analysis.Diagnostic
 module Metrics = Opprox_obs.Metrics
 module Schedule = Opprox_sim.Schedule
@@ -271,101 +270,6 @@ let test_lint_coverage () =
   check_bool "unknown app" true
     (List.mem "CORP003" (codes (Corpus.lint_coverage c ~app:"nonesuch" ~budget:10.0)))
 
-(* ----------------------------------------------------------- singleflight *)
-
-let test_singleflight_one_solve () =
-  let flight = Singleflight.create () in
-  let n = 6 in
-  let calls = Atomic.make 0 in
-  let entered = Atomic.make 0 in
-  let f () =
-    Atomic.incr calls;
-    (* Hold the flight open until every domain has reached [run], then a
-       beat longer, so stragglers park rather than lead a second flight.
-       Poll with a sleep, not [Domain.cpu_relax]: sleeping enters a
-       blocking section, so on a single-core host the runtime can still
-       run stop-the-world sections (and the remaining [Domain.spawn]s)
-       while this leader waits. *)
-    while Atomic.get entered < n do
-      Unix.sleepf 0.002
-    done;
-    Unix.sleepf 0.1;
-    42
-  in
-  let worker () =
-    Atomic.incr entered;
-    Singleflight.run flight "hot-key" f
-  in
-  let domains = List.init (n - 1) (fun _ -> Domain.spawn worker) in
-  (* Run this domain's worker in a separate binding: [::] evaluates right
-     to left, so inlining it after the joins would deadlock the gate. *)
-  let mine = worker () in
-  let outcomes = mine :: List.map Domain.join domains in
-  check_int "exactly one execution" 1 (Atomic.get calls);
-  check_int "one leader" 1
-    (List.length (List.filter (function Singleflight.Led _ -> true | _ -> false) outcomes));
-  List.iter
-    (fun o ->
-      match o with
-      | Singleflight.Led v | Singleflight.Joined v -> check_int "shared result" 42 v)
-    outcomes;
-  check_int "no flights left" 0 (Singleflight.inflight flight);
-  (* The entry is gone, so a later caller leads a fresh flight. *)
-  match Singleflight.run flight "hot-key" (fun () -> Atomic.incr calls; 7) with
-  | Singleflight.Led 7 -> check_int "fresh flight ran" 2 (Atomic.get calls)
-  | _ -> Alcotest.fail "expected a fresh leader"
-
-let test_singleflight_leader_failure () =
-  let flight = Singleflight.create () in
-  (match Singleflight.run flight "k" (fun () -> failwith "boom") with
-  | exception Failure msg -> Alcotest.(check string) "leader exn" "boom" msg
-  | _ -> Alcotest.fail "expected the leader's exception");
-  (* The failed flight is forgotten; the key is reusable. *)
-  match Singleflight.run flight "k" (fun () -> 1) with
-  | Singleflight.Led 1 -> ()
-  | _ -> Alcotest.fail "expected a fresh flight after failure"
-
-let test_server_coalesces_hot_key () =
-  let server = Server.create [ Lazy.force trained ] in
-  let solves0 = counter_value "optimizer.solves" in
-  let leaders0 = counter_value "server.singleflight.leaders" in
-  let coalesced0 = counter_value "server.singleflight.coalesced" in
-  let n = 6 in
-  let gate = Atomic.make 0 in
-  let req = Protocol.request ~app:"toy" ~budget:33.0 () in
-  let worker () =
-    Atomic.incr gate;
-    (* Sleep-poll (see above): a busy-spin here can starve the runtime's
-       stop-the-world handshake on a single-core host. *)
-    while Atomic.get gate < n do
-      Unix.sleepf 0.002
-    done;
-    Server.handle server req
-  in
-  let domains = List.init (n - 1) (fun _ -> Domain.spawn worker) in
-  (* Separate binding: [::] evaluates right to left (see the singleflight
-     test above); joining before this worker runs would deadlock the gate. *)
-  let mine = worker () in
-  let responses = mine :: List.map Domain.join domains in
-  List.iter
-    (fun resp ->
-      match resp with
-      | Protocol.Plan _ -> ()
-      | _ -> Alcotest.fail "expected every coalesced reply to be a Plan")
-    responses;
-  let solves = counter_value "optimizer.solves" - solves0 in
-  let leaders = counter_value "server.singleflight.leaders" - leaders0 in
-  let coalesced = counter_value "server.singleflight.coalesced" - coalesced0 in
-  (* Domains that lose the race entirely (arrive after the flight
-     published) hit the cache instead; nobody solves twice. *)
-  check_int "one solve under the storm" 1 solves;
-  check_int "one leader" 1 leaders;
-  (* A request losing the race entirely (arriving after the flight
-     published) hits the cache instead of joining; nobody solves twice. *)
-  check_int "everyone else joined or hit the cache" (n - 1)
-    (coalesced + (Server.cache_stats server).Plancache.hits);
-  check_int "one cache insertion" 1 (Server.cache_stats server).Plancache.insertions
-
 (* ------------------------------------------------------ snapshot/restore *)
 
 let test_plancache_snapshot_recency () =
@@ -466,6 +370,63 @@ let test_snapshot_hash_mismatch_rejected () =
         (counter_value "plancache.restore.rejected" - rejected0);
       check_int "nothing restored" 0 (Server.cache_stats fresh).Plancache.insertions)
 
+(* Save a snapshot of two solved plans, rewrite the schedule of one of
+   them with [edit], and restart from it: the whole snapshot must be
+   rejected — counted, the LRU left empty so both keys are solved again —
+   and the server must still start. *)
+let check_bad_snapshot_rejected edit =
+  let snap = Filename.temp_file "opprox_snap" ".sexp" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove snap)
+    (fun () ->
+      let budgets = [ 6.0; 9.0 ] in
+      let server = Server.create [ Lazy.force trained ] in
+      List.iter
+        (fun budget ->
+          match Server.handle server (Protocol.request ~app:"toy" ~budget ()) with
+          | Protocol.Plan _ -> ()
+          | _ -> Alcotest.fail "warmup solve failed")
+        budgets;
+      Server.save_cache_snapshot server snap;
+      let edited = ref false in
+      let rec rewrite = function
+        | Sexp.List [ Sexp.Atom "schedule"; v ] when not !edited ->
+            edited := true;
+            Sexp.List [ Sexp.Atom "schedule"; edit v ]
+        | Sexp.List l -> Sexp.List (List.map rewrite l)
+        | a -> a
+      in
+      Sexp.save snap (rewrite (Sexp.load snap));
+      check_bool "one plan rewritten" true !edited;
+      let rejected0 = counter_value "plancache.restore.rejected" in
+      let solves0 = counter_value "optimizer.solves" in
+      let config = { Server.default_config with Server.cache_snapshot = Some snap } in
+      let restarted = Server.create ~config [ Lazy.force trained ] in
+      check_int "rejection counted" 1 (counter_value "plancache.restore.rejected" - rejected0);
+      List.iter
+        (fun budget ->
+          match Server.handle restarted (Protocol.request ~app:"toy" ~budget ()) with
+          | Protocol.Plan { cache = Protocol.Miss; _ } -> ()
+          | _ -> Alcotest.fail "expected a fresh solve after the rejected restore")
+        budgets;
+      check_int "nothing restored" (List.length budgets)
+        (counter_value "optimizer.solves" - solves0))
+
+let test_snapshot_phaseless_plan_rejected () =
+  check_bad_snapshot_rejected (fun _ ->
+      Sexp.List [ Sexp.List [ Sexp.Atom "levels"; Sexp.List [] ] ])
+
+let test_snapshot_level_out_of_range_rejected () =
+  check_bad_snapshot_rejected (function
+    | Sexp.List [ Sexp.List [ Sexp.Atom "levels"; Sexp.List (Sexp.List (_ :: ab) :: phases) ] ]
+      ->
+        Sexp.List
+          [
+            Sexp.List
+              [ Sexp.Atom "levels"; Sexp.List (Sexp.List (Sexp.Atom "99" :: ab) :: phases) ];
+          ]
+    | _ -> Alcotest.fail "unexpected schedule shape")
+
 (* ------------------------------------------------- server + corpus path *)
 
 let test_server_corpus_lookup_path () =
@@ -520,15 +481,15 @@ let suite =
       ] );
     ( "corpus-serving",
       [
-        Alcotest.test_case "singleflight: one execution" `Quick test_singleflight_one_solve;
-        Alcotest.test_case "singleflight: leader failure" `Quick
-          test_singleflight_leader_failure;
-        Alcotest.test_case "server coalesces a hot key" `Quick test_server_coalesces_hot_key;
         Alcotest.test_case "plancache snapshot recency" `Quick
           test_plancache_snapshot_recency;
         Alcotest.test_case "server snapshot roundtrip" `Quick test_server_snapshot_roundtrip;
         Alcotest.test_case "stale snapshot rejected" `Quick
           test_snapshot_hash_mismatch_rejected;
+        Alcotest.test_case "snapshot with a phaseless plan rejected" `Quick
+          test_snapshot_phaseless_plan_rejected;
+        Alcotest.test_case "snapshot with an out-of-range level rejected" `Quick
+          test_snapshot_level_out_of_range_rejected;
         Alcotest.test_case "corpus lookup-first path" `Quick test_server_corpus_lookup_path;
       ] );
   ]

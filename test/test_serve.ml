@@ -5,6 +5,7 @@
    Unix-domain socket. *)
 
 module Plancache = Opprox_serve.Plancache
+module Key = Opprox_corpus.Key
 module Protocol = Opprox_serve.Protocol
 module Server = Opprox_serve.Server
 module Client = Opprox_serve.Client
@@ -101,7 +102,7 @@ let test_capacity_bound_concurrent () =
 
 let test_fingerprint_stability () =
   let fp input budget =
-    Plancache.fingerprint ~app:"toy" ~input ~budget ~models_hash:"abc"
+    Key.fingerprint ~app:"toy" ~input ~budget ~models_hash:"abc"
   in
   (* Bit-identical floats, however reconstructed, give the same key. *)
   let b = float_of_string (string_of_float 10.0) in
@@ -112,10 +113,10 @@ let test_fingerprint_stability () =
   check_bool "input ulp" false (fp [| 1.5 |] 10.0 = fp [| bump 1.5 |] 10.0);
   check_bool "app" false
     (fp [| 1.5 |] 10.0
-    = Plancache.fingerprint ~app:"toy2" ~input:[| 1.5 |] ~budget:10.0 ~models_hash:"abc");
+    = Key.fingerprint ~app:"toy2" ~input:[| 1.5 |] ~budget:10.0 ~models_hash:"abc");
   check_bool "hash" false
     (fp [| 1.5 |] 10.0
-    = Plancache.fingerprint ~app:"toy" ~input:[| 1.5 |] ~budget:10.0 ~models_hash:"abd")
+    = Key.fingerprint ~app:"toy" ~input:[| 1.5 |] ~budget:10.0 ~models_hash:"abd")
 
 let test_create_validation () =
   Alcotest.check_raises "capacity 0"
@@ -549,8 +550,8 @@ let test_socket_end_to_end () =
                   | Protocol.Overloaded { limit; _ } -> check_int "limit" 1 limit
                   | resp -> Alcotest.fail ("expected Overloaded, got " ^ code_of resp))
               | None -> Alcotest.fail "shed connection closed without a frame"));
-      (* Wait for the worker serving the closed connection to release
-         its admission slot, or the next connect is shed too. *)
+      (* Wait for the loop to release the closed connection's admission
+         slot, or the next connect is shed too. *)
       let rec settle n =
         if Server.inflight server > 0 && n > 0 then begin
           Unix.sleepf 0.01;
@@ -574,9 +575,10 @@ let test_socket_end_to_end () =
 (* A daemon on a temp socket for the length of [f], stopped and joined
    afterwards.  [jobs = Some 2] gives the pool a single worker, which is
    what the daemon runs with under [opprox serve -j 2]. *)
-let with_daemon ?(config = { Server.default_config with Server.jobs = Some 2 }) f =
+let with_daemon ?(config = { Server.default_config with Server.jobs = Some 2 })
+    ?(apps = [ trained ]) f =
   let socket = temp_socket () in
-  let server = make_server ~config () in
+  let server = Server.create ~config (List.map Lazy.force apps) in
   let daemon = Domain.spawn (fun () -> Server.serve server ~socket) in
   Fun.protect
     ~finally:(fun () ->
@@ -605,8 +607,9 @@ let read_reply fd =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       Alcotest.fail "no reply before the client's receive timeout"
 
-let request_frame ?no_cache budget =
-  Protocol.encode_frame (Protocol.request_to_sexp (Protocol.request ?no_cache ~app:"toy" ~budget ()))
+let request_frame ?no_cache ?deadline_ms ?(app = "toy") budget =
+  Protocol.encode_frame
+    (Protocol.request_to_sexp (Protocol.request ?no_cache ?deadline_ms ~app ~budget ()))
 
 let write_string fd s = ignore (Unix.write_substring fd s 0 (String.length s))
 
@@ -742,6 +745,131 @@ let test_stop_with_idle_conn () =
       check_bool (Printf.sprintf "stop returned in %.3f s" dt) true (dt < 1.0);
       check_bool "idle connection closed" true (Protocol.read_frame idle = None))
 
+let counter name =
+  match Opprox_obs.Metrics.find name with Some (Opprox_obs.Metrics.Counter n) -> n | _ -> 0
+
+let with_raws n socket f =
+  let fds = List.init n (fun _ -> raw_connect ~timeout:10.0 socket) in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds)
+    (fun () -> f fds)
+
+let test_one_solve_per_fingerprint () =
+  with_daemon (fun server socket ->
+      let solves0 = counter "optimizer.solves" in
+      let coalesced0 = counter "server.singleflight.coalesced" in
+      with_raws 7 socket (fun fds ->
+          settle_accept ();
+          (* Six connections ask for one fresh key at once, a seventh for
+             another, with one pool worker behind the loop. *)
+          List.iteri
+            (fun i fd -> write_string fd (request_frame (if i < 6 then 21.0 else 22.0)))
+            fds;
+          let plans =
+            List.map
+              (fun fd ->
+                match read_reply fd with
+                | Protocol.Plan { plan; _ } -> plan
+                | resp -> Alcotest.fail ("expected Plan, got " ^ code_of resp))
+              fds
+          in
+          let dups = List.filteri (fun i _ -> i < 6) plans in
+          let first = plan_text (List.hd dups) in
+          List.iter
+            (fun p -> Alcotest.(check string) "duplicates share a plan" first (plan_text p))
+            dups;
+          check_int "one solve per fingerprint" 2 (counter "optimizer.solves" - solves0);
+          check_int "every duplicate waited for the solve or hit the cache" 5
+            (counter "server.singleflight.coalesced" - coalesced0
+            + (Server.cache_stats server).Plancache.hits)))
+
+(* Wait until the daemon has dispatched [target] solves in all: the
+   leaders counter is process-wide, and the daemon runs in this process. *)
+let await_leaders target =
+  let rec go n =
+    if counter "server.singleflight.leaders" < target && n > 0 then begin
+      Unix.sleepf 0.001;
+      go (n - 1)
+    end
+  in
+  go 10_000;
+  check_int "solves dispatched" target (counter "server.singleflight.leaders")
+
+(* Hold the daemon's one worker on 16 distinct kmeans solves, each
+   dispatched before [f] runs, so a solve [f] starts finishes well after
+   [f]'s next requests arrive. *)
+let with_busy_worker socket f =
+  let n = 16 in
+  with_raws n socket (fun ahead ->
+      let leaders0 = counter "server.singleflight.leaders" in
+      List.iteri
+        (fun i fd -> write_string fd (request_frame ~app:"kmeans" (30.0 +. float_of_int i)))
+        ahead;
+      await_leaders (leaders0 + n);
+      f ();
+      List.iter
+        (fun fd ->
+          match read_reply fd with
+          | Protocol.Plan _ -> ()
+          | resp -> Alcotest.fail ("expected Plan, got " ^ code_of resp))
+        ahead)
+
+(* Send a kmeans request and wait until the loop has dispatched it, so
+   it is in flight before its duplicate is sent. *)
+let start_leader leader budget =
+  let leaders0 = counter "server.singleflight.leaders" in
+  write_string leader (request_frame ~app:"kmeans" budget);
+  await_leaders (leaders0 + 1)
+
+let test_parked_request_own_deadline () =
+  with_daemon ~apps:[ kmeans_fixture ] (fun _ socket ->
+      with_raws 2 socket (fun fds ->
+          let leader = List.nth fds 0 and dup = List.nth fds 1 in
+          settle_accept ();
+          let coalesced0 = counter "server.singleflight.coalesced" in
+          with_busy_worker socket (fun () ->
+              start_leader leader 7.7;
+              write_string dup (request_frame ~app:"kmeans" ~deadline_ms:5.0 7.7);
+              (match read_reply dup with
+              | Protocol.Timeout { deadline_ms; _ } -> check_float "own deadline" 5.0 deadline_ms
+              | resp -> Alcotest.fail ("expected Timeout, got " ^ code_of resp));
+              match read_reply leader with
+              | Protocol.Plan { cache = Protocol.Miss; _ } -> ()
+              | resp -> Alcotest.fail ("expected the leader's Plan, got " ^ code_of resp));
+          check_int "the duplicate waited for the solve" 1
+            (counter "server.singleflight.coalesced" - coalesced0);
+          (* The solve still entered the LRU: the retry hits. *)
+          write_string dup (request_frame ~app:"kmeans" ~deadline_ms:5.0 7.7);
+          match read_reply dup with
+          | Protocol.Plan { cache = Protocol.Hit; _ } -> ()
+          | resp -> Alcotest.fail ("expected a cache hit, got " ^ code_of resp)))
+
+let test_pipelined_behind_parked () =
+  with_daemon ~apps:[ kmeans_fixture ] (fun _ socket ->
+      with_raws 2 socket (fun fds ->
+          let leader = List.nth fds 0 and piped = List.nth fds 1 in
+          settle_accept ();
+          let coalesced0 = counter "server.singleflight.coalesced" in
+          with_busy_worker socket (fun () ->
+              start_leader leader 7.7;
+              (* A duplicate that waits for the leader, then an inline
+                 rejection and a fresh solve pipelined behind it. *)
+              write_string piped
+                (String.concat ""
+                   (List.map (fun b -> request_frame ~app:"kmeans" b) [ 7.7; 150.0; 12.5 ]));
+              ignore (read_reply leader));
+          check_int "the duplicate waited for the solve" 1
+            (counter "server.singleflight.coalesced" - coalesced0);
+          List.iter
+            (fun budget ->
+              match read_reply piped with
+              | Protocol.Plan { plan; _ } ->
+                  check_float "reply order" budget plan.Opprox.Optimizer.budget
+              | Protocol.Error (d :: _) when budget > 100.0 ->
+                  Alcotest.(check string) "rejected in place" "SRV001" d.Diagnostic.code
+              | resp -> Alcotest.fail ("unexpected " ^ code_of resp))
+            [ 7.7; 150.0; 12.5 ]))
+
 let suite =
   [
     ( "plancache",
@@ -786,5 +914,10 @@ let suite =
         Alcotest.test_case "pipelined replies in order" `Quick test_pipelined_in_order;
         Alcotest.test_case "idle timeout closes" `Quick test_idle_timeout;
         Alcotest.test_case "stop with an idle connection" `Quick test_stop_with_idle_conn;
+        Alcotest.test_case "one solve per fingerprint" `Quick test_one_solve_per_fingerprint;
+        Alcotest.test_case "parked request keeps its own deadline" `Quick
+          test_parked_request_own_deadline;
+        Alcotest.test_case "pipelined frames behind a parked request" `Quick
+          test_pipelined_behind_parked;
       ] );
   ]
