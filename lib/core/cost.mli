@@ -2,11 +2,10 @@
 
     The chain prices whole schedules through the {e models}, never the
     simulator: one {!t} compiles the models' hoisted prediction pipeline
-    ({!Models.predictor}) plus a (phase, levels) memo, exactly like
-    the optimizer's solver, so the MCMC inner loop costs a hashtable hit
-    for every point it revisits.  A [t] wraps mutable scratch and a
-    single-domain predictor — build one per chain, never share one across
-    domains. *)
+    ({!Models.predictor}) plus a (phase, levels) memo, so the MCMC
+    inner loop costs a hashtable hit for every point it revisits.  A [t]
+    wraps mutable scratch and a single-domain predictor — build one per
+    chain, never share one across domains. *)
 
 type eval = {
   cost : float;

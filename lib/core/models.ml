@@ -61,7 +61,7 @@ let iter_features (s : Training.sample) =
    tail no longer wrecks the fit near the budgets the optimizer cares
    about, and the confidence interval becomes multiplicative. *)
 let log_qos q = Float.log1p (Float.max 0.0 q)
-let unlog_qos l = Float.max 0.0 (Float.expm1 l)
+let[@inline] unlog_qos l = Float.max 0.0 (Float.expm1 l)
 
 let local_features (s : Training.sample) ~ab = Array.append [| float_of_int s.levels.(ab) |] s.input
 
@@ -139,12 +139,23 @@ let models_for t input =
   let cls = Cfmodel.classify t.classes input in
   if cls >= 0 && cls < Array.length t.per_class then t.per_class.(cls) else t.per_class.(0)
 
+let exact = { speedup = 1.0; qos = 0.0; speedup_lo = 1.0; qos_hi = 0.0; iters_ratio = 1.0 }
+
+(* [Array.for_all (fun l -> l = 0)], as a loop: [Array.for_all] allocates
+   a closure on every call. *)
+let all_exact levels =
+  let i = ref 0 in
+  while !i < Array.length levels && levels.(!i) = 0 do
+    incr i
+  done;
+  !i = Array.length levels
+
 let predict t ~input ~phase ~levels =
   if phase < 0 || phase >= t.n_phases then invalid_arg "Models.predict: bad phase";
   if Array.length levels <> App.n_abs t.app then invalid_arg "Models.predict: bad levels arity";
-  if Array.for_all (fun l -> l = 0) levels then
+  if all_exact levels then
     (* Exact execution needs no model: speedup 1, no degradation. *)
-    { speedup = 1.0; qos = 0.0; speedup_lo = 1.0; qos_hi = 0.0; iters_ratio = 1.0 }
+    exact
   else
   let pm = (models_for t input).(phase) in
   let pseudo : Training.sample =
@@ -173,16 +184,21 @@ let predict t ~input ~phase ~levels =
 (* Compiled per-input predictor: classification, model selection, and
    regression-model compilation happen once; each call reuses the scratch
    feature buffers below.  The arithmetic mirrors [predict] exactly, with
-   one redundancy removed: [predict] evaluates the iteration model three
+   redundancy removed: [predict] evaluates the iteration model three
    times per query (once directly, once inside each overall feature
-   vector) — here it is evaluated once and the identical float reused. *)
+   vector), here it is evaluated once and the identical float reused; and
+   the local models, which see only [(level, input)], are evaluated once
+   per (phase, AB, level) and remembered.  A query then costs three
+   regression evaluations instead of nine. *)
 let predictor t ~input =
-  let n_abs = App.n_abs t.app in
+  let abs = t.app.App.abs in
+  let n_abs = Array.length abs in
   let n_input = Array.length input in
   let compiled =
     Array.map
       (fun pm ->
-        ( pm,
+        ( Confidence.half_width pm.speedup_ci,
+          Confidence.half_width pm.qos_ci,
           Polyreg.predictor pm.iter_model,
           Array.map Polyreg.predictor pm.local_speedup,
           Array.map Polyreg.predictor pm.local_qos,
@@ -197,14 +213,30 @@ let predictor t ~input =
   Array.blit input 0 iter_feat n_abs n_input;
   let local_feat = Array.make (1 + n_input) 0.0 in
   Array.blit input 0 local_feat 1 n_input;
-  let overall_feat = Array.make (n_abs + 1) 0.0 in
+  let speedup_feat = Array.make (n_abs + 1) 0.0 in
+  let qos_feat = Array.make (n_abs + 1) 0.0 in
+  (* Local-model memo: AB [ab] at level [l] in phase [phase] sits at
+     [phase * n_levels + offset.(ab) + l]. *)
+  let offset = Array.make n_abs 0 in
+  for ab = 1 to n_abs - 1 do
+    offset.(ab) <- offset.(ab - 1) + abs.(ab - 1).Opprox_sim.Ab.max_level + 1
+  done;
+  let n_levels = offset.(n_abs - 1) + abs.(n_abs - 1).Opprox_sim.Ab.max_level + 1 in
+  let local_speedup = Array.make (t.n_phases * n_levels) 0.0 in
+  let local_qos = Array.make (t.n_phases * n_levels) 0.0 in
+  let known = Bytes.make (t.n_phases * n_levels) '\000' in
   fun ~phase ~levels ->
     if phase < 0 || phase >= t.n_phases then invalid_arg "Models.predictor: bad phase";
     if Array.length levels <> n_abs then invalid_arg "Models.predictor: bad levels arity";
-    if Array.for_all (fun l -> l = 0) levels then
-      { speedup = 1.0; qos = 0.0; speedup_lo = 1.0; qos_hi = 0.0; iters_ratio = 1.0 }
+    if all_exact levels then exact
     else begin
-      let pm, iter_p, local_speedup_p, local_qos_p, overall_speedup_p, overall_qos_p =
+      let ( speedup_e,
+            qos_e,
+            iter_p,
+            local_speedup_p,
+            local_qos_p,
+            overall_speedup_p,
+            overall_qos_p ) =
         compiled.(phase)
       in
       for i = 0 to n_abs - 1 do
@@ -212,23 +244,35 @@ let predictor t ~input =
       done;
       let iters_ratio = iter_p iter_feat in
       for ab = 0 to n_abs - 1 do
-        local_feat.(0) <- float_of_int levels.(ab);
-        overall_feat.(ab) <- local_speedup_p.(ab) local_feat
+        let l = levels.(ab) in
+        local_feat.(0) <- float_of_int l;
+        if l >= 0 && l <= abs.(ab).Opprox_sim.Ab.max_level then begin
+          let k = (phase * n_levels) + offset.(ab) + l in
+          if Bytes.get known k = '\000' then begin
+            local_speedup.(k) <- local_speedup_p.(ab) local_feat;
+            local_qos.(k) <- local_qos_p.(ab) local_feat;
+            Bytes.set known k '\001'
+          end;
+          speedup_feat.(ab) <- local_speedup.(k);
+          qos_feat.(ab) <- local_qos.(k)
+        end
+        else begin
+          (* Off the AB's level range: no memo slot, evaluate directly. *)
+          speedup_feat.(ab) <- local_speedup_p.(ab) local_feat;
+          qos_feat.(ab) <- local_qos_p.(ab) local_feat
+        end
       done;
-      overall_feat.(n_abs) <- iters_ratio;
-      let speedup = overall_speedup_p overall_feat in
-      for ab = 0 to n_abs - 1 do
-        local_feat.(0) <- float_of_int levels.(ab);
-        overall_feat.(ab) <- local_qos_p.(ab) local_feat
-      done;
-      overall_feat.(n_abs) <- iters_ratio;
-      let log_q = overall_qos_p overall_feat in
-      let speedup = Float.max 0.01 speedup in
+      speedup_feat.(n_abs) <- iters_ratio;
+      qos_feat.(n_abs) <- iters_ratio;
+      let speedup = Float.max 0.01 (overall_speedup_p speedup_feat) in
+      let log_q = overall_qos_p qos_feat in
+      (* [Confidence.lower]/[upper], written out: a call across the module
+         boundary would box its float argument and result. *)
       {
         speedup;
         qos = unlog_qos log_q;
-        speedup_lo = Float.max 0.01 (Confidence.lower pm.speedup_ci speedup);
-        qos_hi = unlog_qos (Confidence.upper pm.qos_ci log_q);
+        speedup_lo = Float.max 0.01 (speedup -. speedup_e);
+        qos_hi = unlog_qos (log_q +. qos_e);
         iters_ratio;
       }
     end

@@ -54,11 +54,16 @@ val predictor : t -> input:float array -> phase:int -> levels:int array -> predi
     [(phase, levels)] out of the prediction loop: the control-flow
     classification of [input], model selection, the compiled regression
     closures ({!Opprox_ml.Polyreg.predictor}), and the feature scratch
-    buffers.  The returned closure is bit-identical to {!predict} on
-    every query but allocation-free, which is what the optimizer's
-    per-phase enumeration (≤ thousands of configs × phases × sweeps)
-    wants.  The closure owns mutable scratch: do not share one closure
-    between domains. *)
+    buffers.  It evaluates the iteration model once per query, and each
+    local model once per (phase, AB, level) in the AB's range: those see
+    only that level and [input], so their values are remembered, and a
+    query costs three regression evaluations where {!predict} takes
+    nine.  The returned closure is bit-identical to {!predict} on every
+    query, out-of-range levels included, and allocates only the returned
+    record, which is what the optimizer's per-phase enumeration
+    (≤ thousands of configs × phases × sweeps) wants.  The closure owns
+    mutable scratch and the memo: do not share one closure between
+    domains. *)
 
 val compose_speedup : float list -> float
 (** Combine per-phase whole-run speedups: each phase contributes work

@@ -39,20 +39,6 @@ let enumeration_limit = 20000
 (* Kept only for bench/e2e/offline.ml, which asserts it. *)
 let stochastic_available () = true
 
-(* Exact enumeration of one phase's AL space: keep the configuration with
-   the best conservative speedup whose conservative QoS fits the budget. *)
-let enumerate_phase ~predict ~input ~phase ~budget abs =
-  let best = ref None in
-  List.iter
-    (fun levels ->
-      let p = predict ~input ~phase ~levels in
-      if p.Models.qos_hi <= budget then
-        match !best with
-        | Some (_, best_p) when best_p.Models.speedup_lo >= p.Models.speedup_lo -> ()
-        | _ -> best := Some (levels, p))
-    (Config_space.all abs);
-  !best
-
 (* The neutral view of a plan that {!Opprox_analysis.Lint_plan} audits. *)
 let plan_view ~models (plan : plan) =
   let app = Models.app models in
@@ -88,33 +74,122 @@ let log_diags diags =
       Log.msg level (fun m -> m "%a" Diagnostic.pp d))
     diags
 
+(* One phase's conservative bounds over its whole AL space, indexed by a
+   configuration's mixed-radix index, which is its position in
+   [Config_space.all]; [seen] marks the points predicted so far.  Only
+   the two floats the enumeration compares are kept: a chosen point's
+   full prediction is computed again, which gives the same record. *)
+type table = { seen : Bytes.t; qos_hi : float array; speedup_lo : float array }
+
 let solver ~models ~roi ~input () =
   let app = Models.app models in
   let n_phases = Models.n_phases models in
   let abs = app.App.abs in
+  let n_abs = Array.length abs in
   (* Compile the prediction pipeline once per {e solver}: classification,
      model selection, and all regression scratch buffers are hoisted out
      of the sweep loops (Models.predictor), and a memo on top absorbs the
      many re-visits of the same (phase, levels) point across sweeps — and,
      when the solver is reused over a budget grid (the precompute sweep),
      across budgets: the prediction at a point does not depend on the
-     budget, only admissibility does. *)
-  let predict_compiled = Models.predictor models ~input in
-  let cache = Hashtbl.create 4096 in
-  let predict_cached ~input:_ ~phase ~levels =
-    let key = (phase, Array.to_list levels) in
-    match Hashtbl.find_opt cache key with
-    | Some p ->
-        Metrics.incr m_predict_hits;
-        p
-    | None ->
-        Metrics.incr m_predict_misses;
-        let p = predict_compiled ~phase ~levels in
-        Hashtbl.replace cache key p;
-        p
-  in
+     budget, only admissibility does.  A point's first visit counts as a
+     [optimizer.predict.miss], every later one as a hit. *)
+  let predict = Models.predictor models ~input in
   let space = Config_space.count abs in
   let stochastic = space > enumeration_limit in
+  let radix = Array.map (fun (ab : Opprox_sim.Ab.t) -> ab.max_level + 1) abs in
+  let index_of levels =
+    let idx = ref 0 in
+    for a = 0 to n_abs - 1 do
+      idx := (!idx * radix.(a)) + levels.(a)
+    done;
+    !idx
+  in
+  let levels_of idx =
+    let levels = Array.make n_abs 0 and rest = ref idx in
+    for a = n_abs - 1 downto 0 do
+      levels.(a) <- !rest mod radix.(a);
+      rest := !rest / radix.(a)
+    done;
+    levels
+  in
+  (* Enumerated spaces get one dense table per phase, built on the
+     phase's first visit.  A space past the enumeration limit only ever
+     sees the search's chosen points, a handful per solve, so those go in
+     a small hash table on (phase, levels) instead. *)
+  let tables = Array.make n_phases None in
+  let table phase =
+    match tables.(phase) with
+    | Some t -> t
+    | None ->
+        let t =
+          {
+            seen = Bytes.make space '\000';
+            qos_hi = Array.make space 0.0;
+            speedup_lo = Array.make space 0.0;
+          }
+        in
+        tables.(phase) <- Some t;
+        t
+  in
+  (* Predict point [idx] of [t] unless it already is; [true] on a miss. *)
+  let fill t ~phase ~levels idx =
+    Bytes.get t.seen idx = '\000'
+    && begin
+         let p = predict ~phase ~levels in
+         Bytes.set t.seen idx '\001';
+         t.qos_hi.(idx) <- p.Models.qos_hi;
+         t.speedup_lo.(idx) <- p.Models.speedup_lo;
+         true
+       end
+  in
+  let sparse = Hashtbl.create 16 in
+  let predict_at ~phase ~levels =
+    if stochastic then (
+      let key = (phase, Array.copy levels) in
+      match Hashtbl.find_opt sparse key with
+      | Some p ->
+          Metrics.incr m_predict_hits;
+          p
+      | None ->
+          Metrics.incr m_predict_misses;
+          let p = predict ~phase ~levels in
+          Hashtbl.replace sparse key p;
+          p)
+    else begin
+      let t = table phase in
+      Metrics.incr
+        (if fill t ~phase ~levels (index_of levels) then m_predict_misses else m_predict_hits);
+      predict ~phase ~levels
+    end
+  in
+  (* Exact enumeration of one phase's AL space in [Config_space.all]
+     order, an odometer over one scratch vector: the index of the first
+     configuration with the best conservative speedup whose conservative
+     QoS fits the budget, or -1. *)
+  let cursor = Array.make n_abs 0 in
+  let enumerate_phase ~phase ~budget =
+    let t = table phase in
+    Array.fill cursor 0 n_abs 0;
+    let best = ref (-1) and hits = ref 0 and misses = ref 0 in
+    for idx = 0 to space - 1 do
+      if idx > 0 then begin
+        let a = ref (n_abs - 1) in
+        while cursor.(!a) = radix.(!a) - 1 do
+          cursor.(!a) <- 0;
+          decr a
+        done;
+        cursor.(!a) <- cursor.(!a) + 1
+      end;
+      incr (if fill t ~phase ~levels:cursor idx then misses else hits);
+      if t.qos_hi.(idx) <= budget
+         && (!best < 0 || not (t.speedup_lo.(!best) >= t.speedup_lo.(idx)))
+      then best := idx
+    done;
+    Metrics.add m_predict_hits !hits;
+    Metrics.add m_predict_misses !misses;
+    !best
+  in
   if stochastic then begin
     (* Correct but never silent: a plan whose per-phase optimum came from
        a heuristic search is a different artifact than an enumerated one.
@@ -124,7 +199,6 @@ let solver ~models ~roi ~input () =
     log_diags [ Lint_plan.fallback ~app:app.App.name ~space ~limit:enumeration_limit ]
   end;
   let order = Roi.descending_order roi in
-  let n_abs = Array.length abs in
   fun ?(first_phase = 0) ~budget () ->
   Trace.with_span ~cat:"optimizer" "optimizer.solve" @@ fun () ->
   Metrics.incr m_solves;
@@ -169,37 +243,41 @@ let solver ~models ~roi ~input () =
         allocated.(phase) <- allocated.(phase) +. extra;
         remaining := !remaining -. extra;
         remaining_roi := !remaining_roi -. roi.(phase);
-        match enumerate_phase ~predict:predict_cached ~input ~phase ~budget:allocated.(phase) abs with
-        | Some (levels, p) ->
-            let better =
-              match chosen.(phase) with
-              | Some (_, prev) -> p.Models.speedup_lo > prev.Models.speedup_lo +. 1e-9
-              | None -> true
-            in
-            if better then begin
-              (* Replacing an earlier sweep's choice is a phase
-                 re-optimization; a first choice is not. *)
-              if chosen.(phase) <> None then Metrics.incr m_reopts;
-              chosen.(phase) <- Some (levels, p);
-              changed := true
-            end;
-            (match chosen.(phase) with
-            | Some (_, p) ->
-                let c = Float.max 0.0 p.Models.qos_hi in
-                (* Unused allocation flows back into the next sweep. *)
-                remaining := !remaining +. Float.max 0.0 (allocated.(phase) -. Float.max c consumed.(phase));
-                allocated.(phase) <- Float.max c consumed.(phase);
-                consumed.(phase) <- Float.max c consumed.(phase)
-            | None -> ())
-        | None ->
-            (* No feasible configuration at this allocation: hand the whole
-               unconsumed grant back to the phases visited after this one.
-               Without this the grant was stranded for the rest of the
-               sweep and a fresh one re-granted every sweep, so the
-               reported sub_budget inflated monotonically and the split
-               could sum past the total budget. *)
-            remaining := !remaining +. Float.max 0.0 (allocated.(phase) -. consumed.(phase));
-            allocated.(phase) <- consumed.(phase))
+        let best = enumerate_phase ~phase ~budget:allocated.(phase) in
+        if best >= 0 then begin
+          let better =
+            match chosen.(phase) with
+            | Some (_, prev) -> (table phase).speedup_lo.(best) > prev.Models.speedup_lo +. 1e-9
+            | None -> true
+          in
+          if better then begin
+            (* Replacing an earlier sweep's choice is a phase
+               re-optimization; a first choice is not. *)
+            if chosen.(phase) <> None then Metrics.incr m_reopts;
+            let levels = levels_of best in
+            chosen.(phase) <- Some (levels, predict ~phase ~levels);
+            changed := true
+          end;
+          match chosen.(phase) with
+          | Some (_, p) ->
+              let c = Float.max 0.0 p.Models.qos_hi in
+              (* Unused allocation flows back into the next sweep. *)
+              remaining :=
+                !remaining +. Float.max 0.0 (allocated.(phase) -. Float.max c consumed.(phase));
+              allocated.(phase) <- Float.max c consumed.(phase);
+              consumed.(phase) <- Float.max c consumed.(phase)
+          | None -> ()
+        end
+        else begin
+          (* No feasible configuration at this allocation: hand the whole
+             unconsumed grant back to the phases visited after this one.
+             Without this the grant was stranded for the rest of the
+             sweep and a fresh one re-granted every sweep, so the
+             reported sub_budget inflated monotonically and the split
+             could sum past the total budget. *)
+          remaining := !remaining +. Float.max 0.0 (allocated.(phase) -. consumed.(phase));
+          allocated.(phase) <- consumed.(phase)
+        end)
       order;
     !changed
   in
@@ -212,7 +290,7 @@ let solver ~models ~roi ~input () =
      Array.iteri
        (fun phase lv ->
          if active phase then begin
-           let p = predict_cached ~input ~phase ~levels:lv in
+           let p = predict_at ~phase ~levels:lv in
            let c = Float.max 0.0 p.Models.qos_hi in
            chosen.(phase) <- Some (Array.copy lv, p);
            allocated.(phase) <- c;
@@ -245,7 +323,7 @@ let solver ~models ~roi ~input () =
           | Some (levels, p) -> (levels, p)
           | None ->
               let levels = Array.make n_abs 0 in
-              (levels, predict_cached ~input ~phase ~levels)
+              (levels, predict_at ~phase ~levels)
         in
         schedule_levels.(phase) <- levels;
         { phase; levels; predicted; sub_budget = allocated.(phase) })

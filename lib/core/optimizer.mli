@@ -64,8 +64,9 @@ val optimize :
     Observability: each solve runs at most five Algorithm-2 sweeps and
     accounts for itself in the {!Opprox_obs.Metrics} registry —
     [optimizer.solves], [optimizer.sweeps] (sweeps actually executed),
-    [optimizer.predict.hit]/[optimizer.predict.miss] (the per-solve
-    prediction memo) and [optimizer.phase.reopt] (choices replaced by a
+    [optimizer.predict.hit]/[optimizer.predict.miss] (the solver's
+    prediction memo: a point's first visit is a miss, every later one a
+    hit) and [optimizer.phase.reopt] (choices replaced by a
     later sweep) — and emits one {!Opprox_obs.Trace} span per solve and
     per sweep. *)
 
@@ -81,7 +82,10 @@ val solver :
 (** Partially-applied {!optimize}: compile the prediction pipeline (input
     classification, model selection, regression scratch) and the
     (phase, levels) prediction memo {e once}, then solve any number of
-    budgets against them.  Predictions do not depend on the budget — only
+    budgets against them.  The memo is one dense table per phase over
+    the phase's AL space, in {!Opprox_sim.Config_space.all} order, built
+    on the phase's first visit, so a suffix solve fills only the
+    phases it prices.  Predictions do not depend on the budget — only
     admissibility does — so a budget-grid sweep (the corpus precompute)
     pays the model-compilation cost once per (app, input) instead of once
     per cell.  [optimize ~budget ()] is [solver () ~budget ()].

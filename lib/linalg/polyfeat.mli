@@ -35,12 +35,29 @@ val apply : t -> float array -> float array
 (** Expand one raw feature vector.  Raises [Invalid_argument] on arity
     mismatch. *)
 
-val apply_into : t -> float array -> float array -> unit
-(** [apply_into t raw out] expands [raw] into the preallocated buffer
-    [out] (length {!output_dim}), allocation-free.  The hot prediction
-    loops reuse one buffer across millions of expansions; see
-    {!Opprox_ml.Polyreg.predictor}.  Raises [Invalid_argument] on arity
-    or output-length mismatch. *)
+val scratch : t -> float array
+(** A fresh buffer for {!apply_into}'s per-row powers.  It is scratch:
+    one caller (one domain) at a time. *)
+
+val apply_into : t -> powers:float array -> float array -> float array -> unit
+(** [apply_into t ~powers raw out] expands [raw] into the preallocated
+    buffer [out] (length {!output_dim}), allocation-free, using [powers]
+    (from {!scratch}) for the row's powers.  The hot prediction loops
+    reuse both buffers across millions of expansions; see
+    {!Opprox_ml.Polyreg.predictor}.  Every output is the product, from
+    1.0 and in feature order, of [x_i ^ e_i] over the monomial's nonzero
+    exponents, each power by square-and-multiply: the same float
+    operations in the same order as a per-monomial loop.  Raises
+    [Invalid_argument] on arity, output-length or scratch-size
+    mismatch. *)
+
+val dot : t -> powers:float array -> float array -> float array -> float
+(** [dot t ~powers raw weights] is [sum_m (apply t raw).(m) *. weights.(m)]
+    summed from 0.0 in monomial order, with each monomial formed as in
+    {!apply_into}: the same float operations in the same order as
+    expanding into a buffer and then taking the dot product, without the
+    buffer.  Allocates only its result.  Raises [Invalid_argument] on
+    arity, weights-length or scratch-size mismatch. *)
 
 val design_matrix : t -> float array array -> Matrix.t
 (** Expand a batch of raw feature vectors into a design matrix with one

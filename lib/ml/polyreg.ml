@@ -300,23 +300,19 @@ let predict t row =
 
 (* Compiled predictor: same arithmetic as [predict] in the same order
    (clamp, standardize, expand, dot product), but every scratch array is
-   allocated once at compile time and reused across calls. *)
+   allocated once at compile time and reused across calls, the expansion
+   is summed as it is formed ({!Polyfeat.dot}), and nothing on the
+   per-call path allocates but the returned float. *)
 let single_predictor s =
   let arity = Array.length s.means in
   let std = Array.make arity 0.0 in
-  let dim = Array.length s.weights in
-  let expanded = Array.make dim 0.0 in
+  let powers = Polyfeat.scratch s.feat in
   fun row ->
     for j = 0 to arity - 1 do
       let clamped = Float.max s.lo.(j) (Float.min s.hi.(j) row.(j)) in
       std.(j) <- (clamped -. s.means.(j)) /. s.scales.(j)
     done;
-    Polyfeat.apply_into s.feat std expanded;
-    let acc = ref 0.0 in
-    for i = 0 to dim - 1 do
-      acc := !acc +. (expanded.(i) *. s.weights.(i))
-    done;
-    !acc
+    Polyfeat.dot s.feat ~powers std s.weights
 
 let rec body_predictor = function
   | Constant c -> fun _ -> c
@@ -324,9 +320,13 @@ let rec body_predictor = function
   | Split { split_feature; cuts; parts } ->
       let compiled = Array.map body_predictor parts in
       fun row ->
+        (* [predict_body]'s [locate], as a loop that allocates no closure. *)
         let v = row.(split_feature) in
-        let rec locate i = if i >= Array.length cuts || v <= cuts.(i) then i else locate (i + 1) in
-        compiled.(locate 0) row
+        let part = ref 0 in
+        while !part < Array.length cuts && not (v <= cuts.(!part)) do
+          incr part
+        done;
+        compiled.(!part) row
 
 let predictor t =
   let selected = Array.of_list t.selected in

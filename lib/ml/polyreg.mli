@@ -50,9 +50,11 @@ val predictor : t -> float array -> float
 (** [predictor t] compiles the model into a reusable prediction closure.
     Bit-identical to {!predict} (same clamp/standardize/expand/dot
     arithmetic in the same order), but the feature projection, the
-    standardized row, and the expanded monomial vector are allocated once
-    and reused across calls — the optimizer's enumeration calls each model
-    tens of thousands of times per solve.  The closure owns mutable
+    standardized row and the row's powers are allocated once and reused
+    across calls, and the monomials are summed as they are formed
+    ({!Opprox_linalg.Polyfeat.dot}), so a call allocates only its boxed
+    result — the optimizer's enumeration calls each model
+    hundreds of times per solve.  The closure owns mutable
     scratch: do not share one closure between domains (compile one per
     domain instead; compilation is cheap). *)
 

@@ -12,6 +12,11 @@
      corrupt_level_range.sexp   schedule level 99         SCHED003
      corrupt_ragged.sexp        ragged schedule rows      SCHED001
 
+   plus plans_kmeans.txt, the plans the optimizer derives from the clean
+   artifact: one block per (input, first_phase, budget), each the
+   [Optimizer.plan_to_sexp] text of one solve.  Any change to the
+   solver's or the predictor's arithmetic shows up as a diff there.
+
    The corruptions are sexp surgery on the clean artifact rather than
    hand-written files, so the fixtures track the serialization format
    for free whenever it changes — just rerun this program. *)
@@ -26,6 +31,50 @@ let rec rewrite_field name f = function
 
 let schedule_sexp rows =
   Sexp.record [ ("levels", Sexp.list (List.map Sexp.int_array (Array.to_list rows))) ]
+
+(* Budgets 0, 0.25, ..., 30 on the default input, solved from every
+   [first_phase] in 0..n_phases through one reused solver (the full solve
+   is [first_phase] 0); a coarser grid on each other training input,
+   which the control-flow classifier may route to another model class;
+   and, since the fixture's wide intervals keep most plans under 30%
+   exact, budgets 40, 80, ..., 600 on every input and [first_phase]. *)
+let save_plans path trained_path =
+  let trained = Opprox.load ~resolve:Opprox_apps.Registry.find trained_path in
+  let models = trained.Opprox.models in
+  let n_phases = Opprox.Models.n_phases models in
+  let default = trained.Opprox.app.Opprox_sim.App.default_input in
+  let inputs =
+    List.sort_uniq compare (Array.to_list trained.Opprox.app.Opprox_sim.App.training_inputs)
+  in
+  let oc = open_out_bin path in
+  let emit input first_phase budgets =
+    let solve = Opprox.Optimizer.solver ~models ~roi:trained.Opprox.roi ~input () in
+    List.iter
+      (fun budget ->
+        Printf.fprintf oc "; input %s first_phase %d budget %g\n%s\n"
+          (String.concat "," (List.map (Printf.sprintf "%g") (Array.to_list input)))
+          first_phase budget
+          (Sexp.to_string (Opprox.Optimizer.plan_to_sexp (solve ~first_phase ~budget ()))))
+      budgets
+  in
+  let grid ~step ~from ~upto =
+    List.init
+      (int_of_float ((upto -. from) /. step) + 1)
+      (fun i -> from +. (float_of_int i *. step))
+  in
+  for first_phase = 0 to n_phases do
+    emit default first_phase (grid ~step:0.25 ~from:0.0 ~upto:30.0)
+  done;
+  List.iter
+    (fun input -> if input <> default then emit input 0 (grid ~step:2.5 ~from:0.0 ~upto:30.0))
+    inputs;
+  List.iter
+    (fun input ->
+      for first_phase = 0 to n_phases do
+        emit input first_phase (grid ~step:40.0 ~from:40.0 ~upto:600.0)
+      done)
+    inputs;
+  close_out oc
 
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/fixtures" in
@@ -61,4 +110,5 @@ let () =
   save "corrupt_ragged.sexp"
     (Sexp.record
        [ ("levels", Sexp.list [ Sexp.int_array [| 1; 0 |]; Sexp.int_array [| 1 |] ]) ]);
-  Printf.printf "wrote 5 fixtures to %s/\n" dir
+  save_plans (Filename.concat dir "plans_kmeans.txt") (Filename.concat dir "trained_kmeans.sexp");
+  Printf.printf "wrote 6 fixtures to %s/\n" dir

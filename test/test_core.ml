@@ -184,6 +184,59 @@ let test_models_predictor_matches_predict () =
       [ [| 0; 0 |]; [| 1; 0 |]; [| 0; 2 |]; [| 3; 3 |]; [| 2; 1 |] ]
   done
 
+(* The committed kmeans artifact: three ABs (75 configurations) over two
+   phases, with control-flow classes the training inputs reach. *)
+let kmeans_fixture =
+  lazy (Opprox.load ~resolve:Opprox_apps.Registry.find "fixtures/trained_kmeans.sexp")
+
+let kmeans_inputs tr =
+  let app = tr.Opprox.app in
+  List.sort_uniq compare (app.App.default_input :: Array.to_list app.App.training_inputs)
+
+let test_models_predictor_bitwise_kmeans () =
+  (* Every phase and every level vector of the kmeans space, plus each AB
+     one step outside its level range (which bypasses the local-model
+     memo), twice over, on every training input: the predictor gives
+     [predict]'s bits in all five fields. *)
+  let tr = Lazy.force kmeans_fixture in
+  let m = tr.Opprox.models in
+  let abs = tr.Opprox.app.App.abs in
+  let off_range =
+    List.concat_map
+      (fun ab ->
+        List.map
+          (fun l ->
+            let levels = Array.make (Array.length abs) 1 in
+            levels.(ab) <- l;
+            levels)
+          [ -1; abs.(ab).Opprox_sim.Ab.max_level + 1 ])
+      (List.init (Array.length abs) Fun.id)
+  in
+  let points = Opprox_sim.Config_space.all abs @ off_range in
+  let bits (p : Models.prediction) =
+    List.map Int64.bits_of_float [ p.speedup; p.qos; p.speedup_lo; p.qos_hi; p.iters_ratio ]
+  in
+  let mismatches = ref [] and checked = ref 0 in
+  List.iter
+    (fun input ->
+      let p = Models.predictor m ~input in
+      for pass = 1 to 2 do
+        List.iter
+          (fun levels ->
+            for phase = 0 to Models.n_phases m - 1 do
+              incr checked;
+              if bits (Models.predict m ~input ~phase ~levels) <> bits (p ~phase ~levels) then
+                mismatches :=
+                  Printf.sprintf "pass %d phase %d levels [%s]" pass phase
+                    (String.concat ";" (Array.to_list (Array.map string_of_int levels)))
+                  :: !mismatches
+            done)
+          points
+      done)
+    (kmeans_inputs tr);
+  check_bool "points checked" true (!checked > 1000);
+  Alcotest.(check (list string)) "predictor = predict, bit for bit" [] (List.rev !mismatches)
+
 let test_models_quality_reported () =
   let m = Lazy.force models in
   check_bool "speedup R2 high on deterministic toy" true (Models.speedup_r2 m > 0.7);
@@ -196,6 +249,50 @@ let optimize budget =
   let t = Lazy.force trained in
   Optimizer.optimize ~models:t.Opprox.models ~roi:t.Opprox.roi
     ~input:toy.App.default_input ~budget ()
+
+let counter name =
+  match Opprox_obs.Metrics.find name with Some (Opprox_obs.Metrics.Counter n) -> n | _ -> 0
+
+let test_solver_work_pinned () =
+  (* The solver predicts each (phase, levels) point once: the first visit
+     is a miss, every later one (a later sweep, or a later budget on the
+     same solver) a hit.  Each sweep visits every configuration of every
+     active phase; an executed phase before [first_phase] is only priced
+     at its all-exact levels, which needs no model. *)
+  let tr = Lazy.force kmeans_fixture in
+  let models = tr.Opprox.models and roi = tr.Opprox.roi in
+  let input = tr.Opprox.app.App.default_input in
+  let n_phases = Models.n_phases models in
+  let count = Opprox_sim.Config_space.count tr.Opprox.app.App.abs in
+  let measure f =
+    let m0 = counter "optimizer.predict.miss" and h0 = counter "optimizer.predict.hit" in
+    let s0 = counter "optimizer.sweeps" in
+    f ();
+    ( counter "optimizer.predict.miss" - m0,
+      counter "optimizer.predict.hit" - h0,
+      counter "optimizer.sweeps" - s0 )
+  in
+  let misses, hits, sweeps =
+    measure (fun () -> ignore (Optimizer.optimize ~models ~roi ~input ~budget:200.0 ()))
+  in
+  check_int "cold optimize: one miss per point" (n_phases * count) misses;
+  check_int "every later visit a hit" ((sweeps - 1) * n_phases * count) hits;
+  List.iter
+    (fun first_phase ->
+      let solve = Optimizer.solver ~models ~roi ~input () in
+      let active = n_phases - first_phase in
+      let misses, hits, sweeps =
+        measure (fun () -> ignore (solve ~first_phase ~budget:200.0 ()))
+      in
+      let label what = Printf.sprintf "first_phase %d: %s" first_phase what in
+      check_int (label "misses") ((active * count) + first_phase) misses;
+      check_int (label "hits") ((sweeps - 1) * active * count) hits;
+      let misses, hits, sweeps =
+        measure (fun () -> ignore (solve ~first_phase ~budget:40.0 ()))
+      in
+      check_int (label "another budget: no miss") 0 misses;
+      check_int (label "another budget: all hits") ((sweeps * active * count) + first_phase) hits)
+    (List.init (n_phases + 1) Fun.id)
 
 let test_optimizer_zero_budget () =
   let plan = optimize 0.0 in
@@ -247,6 +344,49 @@ let test_optimizer_choices_cover_phases () =
   let plan = optimize 10.0 in
   let phases = List.sort compare (List.map (fun (c : Optimizer.phase_choice) -> c.phase) plan.Optimizer.choices) in
   Alcotest.(check (list int)) "each phase chosen once" [ 0; 1 ] phases
+
+(* The toy app plus a third knob its run never reads: every model is
+   blind to that knob's level, so configurations that differ only there
+   tie exactly. *)
+let dead_knob =
+  lazy
+    (let app =
+       App.make ~name:"toy-dead" ~description:"toy plus a knob that changes nothing"
+         ~param_names:[| "scale" |]
+         ~abs:
+           (Array.append toy_abs
+              [|
+                Opprox_sim.Ab.make ~name:"unused" ~technique:Opprox_sim.Ab.Perforation
+                  ~max_level:3;
+              |])
+         ~default_input:[| 1.5 |] ~training_inputs:toy_inputs ~run:toy_run ~seed:7 ()
+     in
+     Opprox.train ~config:{ Opprox.default_train_config with n_phases = Some 2 } app)
+
+let test_optimizer_keeps_first_of_ties () =
+  (* Among tied configurations the enumeration keeps the first in
+     [Config_space.all] order, which leaves the unused knob exact. *)
+  let tr = Lazy.force dead_knob in
+  let input = tr.Opprox.app.App.default_input in
+  let tied = ref false in
+  List.iter
+    (fun budget ->
+      let plan =
+        Optimizer.optimize ~models:tr.Opprox.models ~roi:tr.Opprox.roi ~input ~budget ()
+      in
+      List.iter
+        (fun (c : Optimizer.phase_choice) ->
+          check_int
+            (Printf.sprintf "budget %g phase %d: unused knob" budget c.phase)
+            0 c.levels.(2);
+          let moved = Array.copy c.levels in
+          moved.(2) <- 3;
+          let p = Models.predict tr.Opprox.models ~input ~phase:c.phase ~levels:moved in
+          if p.Models.speedup_lo = c.predicted.Models.speedup_lo && c.levels <> [| 0; 0; 0 |] then
+            tied := true)
+        plan.Optimizer.choices)
+    [ 2.0; 5.0; 10.0; 20.0; 50.0 ];
+  check_bool "some chosen configuration has a tie" true !tied
 
 let prop_roi_allocation_nonnegative =
   qcheck_case "allocations stay nonnegative"
@@ -409,6 +549,8 @@ let suite =
         Alcotest.test_case "speedup sane" `Quick test_models_speedup_sane;
         Alcotest.test_case "bad phase" `Quick test_models_bad_phase;
         Alcotest.test_case "predictor matches predict" `Quick test_models_predictor_matches_predict;
+        Alcotest.test_case "predictor bitwise on the kmeans space" `Quick
+          test_models_predictor_bitwise_kmeans;
         Alcotest.test_case "quality reported" `Quick test_models_quality_reported;
       ] );
     ( "optimizer",
@@ -421,6 +563,9 @@ let suite =
         Alcotest.test_case "compose speedup" `Quick test_compose_speedup;
         Alcotest.test_case "schedule shape" `Quick test_optimizer_schedule_shape;
         Alcotest.test_case "choices cover phases" `Quick test_optimizer_choices_cover_phases;
+        Alcotest.test_case "solver work pinned" `Quick test_solver_work_pinned;
+        Alcotest.test_case "first of tied configurations" `Quick
+          test_optimizer_keeps_first_of_ties;
         prop_roi_allocation_nonnegative;
         prop_optimizer_feasible_on_random_budgets;
       ] );

@@ -450,6 +450,24 @@ module Ref = struct
               else attempt next
         in
         (attempt (Float.max ridge 1e-8), r_diag)
+
+  (* Polyfeat's per-monomial expansion before its plan was compiled into
+     [Polyfeat.t]. *)
+  let pow x n =
+    let rec go acc x n =
+      if n = 0 then acc
+      else if n land 1 = 1 then go (acc *. x) (x *. x) (n lsr 1)
+      else go acc (x *. x) (n lsr 1)
+    in
+    go 1.0 x n
+
+  let polyfeat_apply_into exponents raw out =
+    for m = 0 to Array.length exponents - 1 do
+      let expv = exponents.(m) in
+      let acc = ref 1.0 in
+      Array.iteri (fun i e -> if e > 0 then acc := !acc *. pow raw.(i) e) expv;
+      out.(m) <- !acc
+    done
 end
 
 let bits a = Array.map Int64.bits_of_float a
@@ -580,6 +598,60 @@ let prop_design_matrix_rowwise =
       && Matrix.cols x = Polyfeat.output_dim f
       && matrix_bits x = Array.map (fun r -> bits (Polyfeat.apply f r)) rows)
 
+(* Entries that take every branch of the float arithmetic: zeros of both
+   signs, negatives, magnitudes whose powers overflow or underflow, the
+   infinities and NaN. *)
+let wild_float rng =
+  match Rng.int rng 10 with
+  | 0 -> 0.0
+  | 1 -> -0.0
+  | 2 -> Float.infinity
+  | 3 -> Float.neg_infinity
+  | 4 -> Float.nan
+  | 5 -> Rng.range rng (-1e80) 1e80
+  | 6 -> Rng.range rng (-1e-80) 1e-80
+  | _ -> Rng.range rng (-3.0) 3.0
+
+let prop_apply_into_as_reference =
+  qcheck_case ~count:300 "compiled apply_into and dot bitwise as the per-monomial loop"
+    QCheck.(quad small_nat (int_range 1 5) (int_range 0 6) bool)
+    (fun (seed, arity, degree, capped) ->
+      let rng = Rng.create seed in
+      let caps =
+        if capped then Some (Array.init arity (fun _ -> Rng.int rng (degree + 2))) else None
+      in
+      let f = Polyfeat.create ?caps ~arity ~degree () in
+      (* The same map rebuilt as a loaded model rebuilds it. *)
+      let g = Polyfeat.of_exponents (Array.of_list (Polyfeat.exponents f)) in
+      let exponents = Array.of_list (Polyfeat.exponents f) in
+      let dim = Polyfeat.output_dim f in
+      let powers = Polyfeat.scratch f and out = Array.make dim 0.0 in
+      let powers_g = Polyfeat.scratch g and out_g = Array.make dim 0.0 in
+      let expected = Array.make dim 0.0 in
+      (* Same bits, except that a product of two NaNs may carry either
+         one's payload: which one is the instruction's operand order,
+         which the code generator picks, not the arithmetic. *)
+      let same a b =
+        Array.for_all2
+          (fun x y ->
+            Int64.bits_of_float x = Int64.bits_of_float y || (Float.is_nan x && Float.is_nan y))
+          a b
+      in
+      (* One scratch pair across all rows: no row may see another's powers. *)
+      List.for_all
+        (fun _ ->
+          let raw = Array.init arity (fun _ -> wild_float rng) in
+          Ref.polyfeat_apply_into exponents raw expected;
+          Polyfeat.apply_into f ~powers raw out;
+          Polyfeat.apply_into g ~powers:powers_g raw out_g;
+          (* The fused sum: the expansion's dot product with weights. *)
+          let weights = Array.init dim (fun _ -> wild_float rng) in
+          let dot = ref 0.0 in
+          Array.iteri (fun m v -> dot := !dot +. (v *. weights.(m))) expected;
+          same out expected && same out_g expected
+          && same [| Polyfeat.dot f ~powers raw weights |] [| !dot |])
+        (List.init 20 Fun.id))
+
 let test_exponent_order_unchanged () =
   (* The basis order fitted weights are stored in: every exponent vector of
      total degree <= d in lexicographic order, stably sorted by total. *)
@@ -665,6 +737,7 @@ let suite =
         Alcotest.test_case "design matrix" `Quick test_polyfeat_design_matrix;
         prop_polyfeat_product_structure;
         prop_design_matrix_rowwise;
+        prop_apply_into_as_reference;
         Alcotest.test_case "exponent order unchanged" `Quick test_exponent_order_unchanged;
       ] );
   ]

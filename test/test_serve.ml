@@ -795,15 +795,20 @@ let await_leaders target =
   go 10_000;
   check_int "solves dispatched" target (counter "server.singleflight.leaders")
 
-(* Hold the daemon's one worker on 16 distinct kmeans solves, each
-   dispatched before [f] runs, so a solve [f] starts finishes well after
-   [f]'s next requests arrive. *)
+(* Hold the daemon's one worker on 200 distinct kmeans solves (30 ms or
+   more of work at 0.15 ms a solve), each dispatched before [f] runs, so
+   a solve [f] starts finishes well after [f]'s next requests arrive and
+   after a 5 ms deadline.  The daemon must admit that many connections:
+   start it with [busy_config]. *)
+let busy_config = { Server.default_config with Server.jobs = Some 2; max_inflight = 256 }
+
 let with_busy_worker socket f =
-  let n = 16 in
+  let n = 200 in
   with_raws n socket (fun ahead ->
       let leaders0 = counter "server.singleflight.leaders" in
       List.iteri
-        (fun i fd -> write_string fd (request_frame ~app:"kmeans" (30.0 +. float_of_int i)))
+        (fun i fd ->
+          write_string fd (request_frame ~app:"kmeans" (30.0 +. (0.25 *. float_of_int i))))
         ahead;
       await_leaders (leaders0 + n);
       f ();
@@ -822,7 +827,7 @@ let start_leader leader budget =
   await_leaders (leaders0 + 1)
 
 let test_parked_request_own_deadline () =
-  with_daemon ~apps:[ kmeans_fixture ] (fun _ socket ->
+  with_daemon ~config:busy_config ~apps:[ kmeans_fixture ] (fun _ socket ->
       with_raws 2 socket (fun fds ->
           let leader = List.nth fds 0 and dup = List.nth fds 1 in
           settle_accept ();
@@ -845,7 +850,7 @@ let test_parked_request_own_deadline () =
           | resp -> Alcotest.fail ("expected a cache hit, got " ^ code_of resp)))
 
 let test_pipelined_behind_parked () =
-  with_daemon ~apps:[ kmeans_fixture ] (fun _ socket ->
+  with_daemon ~config:busy_config ~apps:[ kmeans_fixture ] (fun _ socket ->
       with_raws 2 socket (fun fds ->
           let leader = List.nth fds 0 and piped = List.nth fds 1 in
           settle_accept ();
