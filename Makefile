@@ -56,13 +56,15 @@ stats:
 # a malformed frame with nonzero exits, answer a burst of 8 concurrent
 # identical cold requests with 8 plans from one solve, and drain to exit
 # status 0 on SIGTERM.  Its metrics dump must show one optimizer solve
-# per distinct budget requested (12 and 7.7).
+# per distinct budget requested (12 and 7.7).  This smoke and the other
+# OPX= ones run the built binary directly: concurrent `dune exec` calls
+# race on dune's build lock and fail spuriously.
 serve-smoke:
 	dune build bin/opprox_cli.exe
 	@set -e; \
 	DIR=$$(mktemp -d /tmp/opprox-smoke-XXXXXX); \
 	SOCK=$$DIR/serve.sock; \
-	OPX="dune exec --no-build bin/opprox_cli.exe --"; \
+	OPX=./_build/default/bin/opprox_cli.exe; \
 	$$OPX serve -j 2 --metrics-sexp --socket $$SOCK --models test/fixtures/trained_kmeans.sexp \
 	  > $$DIR/serve.log 2>&1 & \
 	SRV=$$!; \
@@ -113,7 +115,7 @@ corpus-smoke:
 	@set -e; \
 	DIR=$$(mktemp -d /tmp/opprox-corpus-XXXXXX); \
 	SOCK=$$DIR/serve.sock; \
-	OPX="dune exec --no-build bin/opprox_cli.exe --"; \
+	OPX=./_build/default/bin/opprox_cli.exe; \
 	trap 'kill $$SRV 2>/dev/null || true; rm -rf $$DIR' EXIT; \
 	$$OPX precompute --models test/fixtures/trained_kmeans.sexp \
 	  --budgets 5,10,20 -o $$DIR/plans.opx; \
@@ -188,7 +190,7 @@ control-smoke:
 	@set -e; \
 	DIR=$$(mktemp -d /tmp/opprox-control-XXXXXX); \
 	SOCK=$$DIR/serve.sock; \
-	OPX="dune exec --no-build bin/opprox_cli.exe --"; \
+	OPX=./_build/default/bin/opprox_cli.exe; \
 	SMALL="-p 3 --inputs 2,16,3;3,24,4 --joint 4"; \
 	trap 'kill $$SRV 2>/dev/null || true; rm -rf $$DIR' EXIT; \
 	$$OPX train bodytrack $$SMALL -o $$DIR/bt.sexp >/dev/null 2>&1; \

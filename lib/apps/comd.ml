@@ -40,8 +40,17 @@ type system_state = {
   fz : float array;
 }
 
-let minimum_image box d =
-  if d > 0.5 *. box then d -. box else if d < -0.5 *. box then d +. box else d
+(* The pair loops below run n^2 times a step, so they must not allocate.
+   Without flambda and under the dev profile's -opaque, a float crosses a
+   call boxed unless the callee is inlined: the helpers are top-level and
+   [@inline] (a local closure would not be inlined), and the pair
+   parameters come from float arrays rather than a tuple.  Stdlib's
+   [Float.max]/[Float.min] are [@inline] and do inline here.  Each helper
+   keeps the original operands and operation order, so every run is
+   bit-identical to the boxed formulation.  [half] is [0.5 *. box], and
+   [-.half] equals [-0.5 *. box] exactly. *)
+let[@inline] minimum_image ~box ~half d =
+  if d > half then d -. box else if d < -.half then d +. box else d
 
 let init rng ~cells ~lattice =
   let n = cells * cells * cells in
@@ -95,23 +104,32 @@ let init rng ~cells ~lattice =
   done;
   st
 
-(* Kob-Andersen pair parameters: (epsilon, sigma^2) by species pair. *)
-let pair_params a b =
-  match (a, b) with
-  | false, false -> (1.0, 1.0) (* A-A *)
-  | true, true -> (0.5, 0.7744) (* B-B, sigma 0.88 *)
-  | _ -> (1.5, 0.64) (* A-B, sigma 0.8 *)
+(* Kob-Andersen pair parameters by species pair, at index [2 * a + b]
+   for species indices [a] and [b] (1 = minority B): epsilon, sigma^2,
+   and the overlap guard 0.81 sigma^2 below which a pair distance is
+   clamped.  A-A is (1, 1), B-B (0.5, 0.88^2), A-B (1.5, 0.8^2). *)
+let pair_eps = [| 1.0; 1.5; 1.5; 0.5 |]
+let pair_sigma2 = [| 1.0; 0.64; 0.64; 0.7744 |]
+let pair_guard = Array.map (fun sigma2 -> 0.81 *. sigma2) pair_sigma2
+
+let[@inline] species_index species i = if species.(i) then 1 else 0
 
 (* Lennard-Jones pair force magnitude / r and pair potential. *)
-let lj_force_over_r ~eps ~sigma2 r2 =
+let[@inline] lj_force_over_r ~eps ~sigma2 r2 =
   let inv_r2 = sigma2 /. r2 in
   let inv_r6 = inv_r2 *. inv_r2 *. inv_r2 in
   24.0 *. eps /. r2 *. inv_r6 *. ((2.0 *. inv_r6) -. 1.0)
 
-let lj_potential ~eps ~sigma2 r2 =
+let[@inline] lj_potential ~eps ~sigma2 r2 =
   let inv_r2 = sigma2 /. r2 in
   let inv_r6 = inv_r2 *. inv_r2 *. inv_r2 in
   4.0 *. eps *. inv_r6 *. (inv_r6 -. 1.0)
+
+(* Clamped stress: bounds the energy a stale force can inject. *)
+let force_cap = 25.0
+let[@inline] clamp_force v = Float.max (-.force_cap) (Float.min force_cap v)
+
+let[@inline] wrap ~box v = if v < 0.0 then v +. box else if v >= box then v -. box else v
 
 (* AB0 + AB1: force computation.  AB0 perforates the atom loop with a
    rotating offset (skipped atoms keep stale forces); AB1 truncates the
@@ -126,19 +144,25 @@ let forces_kernel env st ~iter =
     cutoff *. (1.0 -. (float_of_int level_trunc /. float_of_int (2 * max_trunc)))
   in
   let rc2 = rc *. rc in
-  Approx.perforate ~offset:iter ~level:level_perf st.n (fun i ->
+  let n = st.n and box = st.box and species = st.species in
+  let half = 0.5 *. box in
+  let x = st.x and y = st.y and z = st.z in
+  Approx.perforate ~offset:iter ~level:level_perf n (fun i ->
       let fx = ref 0.0 and fy = ref 0.0 and fz = ref 0.0 in
       let pair_evals = ref 0 in
-      for j = 0 to st.n - 1 do
+      let xi = x.(i) and yi = y.(i) and zi = z.(i) in
+      let si = 2 * species_index species i in
+      for j = 0 to n - 1 do
         if j <> i then begin
-          let dx = minimum_image st.box (st.x.(i) -. st.x.(j)) in
-          let dy = minimum_image st.box (st.y.(i) -. st.y.(j)) in
-          let dz = minimum_image st.box (st.z.(i) -. st.z.(j)) in
+          let dx = minimum_image ~box ~half (xi -. x.(j)) in
+          let dy = minimum_image ~box ~half (yi -. y.(j)) in
+          let dz = minimum_image ~box ~half (zi -. z.(j)) in
           let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
           if r2 < rc2 then begin
-            let eps, sigma2 = pair_params st.species.(i) st.species.(j) in
-            let r2 = Float.max r2 (0.81 *. sigma2) (* overlap guard *) in
-            let f = lj_force_over_r ~eps ~sigma2 r2 in
+            let p = si + species_index species j in
+            let sigma2 = pair_sigma2.(p) in
+            let r2 = Float.max r2 pair_guard.(p) (* overlap guard *) in
+            let f = lj_force_over_r ~eps:pair_eps.(p) ~sigma2 r2 in
             fx := !fx +. (f *. dx);
             fy := !fy +. (f *. dy);
             fz := !fz +. (f *. dz);
@@ -146,12 +170,9 @@ let forces_kernel env st ~iter =
           end
         end
       done;
-      (* Clamped stress: bounds the energy a stale force can inject. *)
-      let cap = 25.0 in
-      let clamp v = Float.max (-.cap) (Float.min cap v) in
-      st.fx.(i) <- clamp !fx;
-      st.fy.(i) <- clamp !fy;
-      st.fz.(i) <- clamp !fz;
+      st.fx.(i) <- clamp_force !fx;
+      st.fy.(i) <- clamp_force !fy;
+      st.fz.(i) <- clamp_force !fz;
       (* distance checks charged to the neighbor AB, force evaluations to
          the force AB *)
       Env.charge env ~ab:ab_neighbor st.n;
@@ -172,11 +193,11 @@ let integrate_kernel env st ~iter =
       st.vy.(i) <- st.vy.(i) +. (st.fy.(i) *. kick_dt);
       st.vz.(i) <- st.vz.(i) +. (st.fz.(i) *. kick_dt);
       Env.charge env ~ab:ab_integrate 6);
-  let wrap box v = if v < 0.0 then v +. box else if v >= box then v -. box else v in
+  let box = st.box in
   for i = 0 to st.n - 1 do
-    st.x.(i) <- wrap st.box (st.x.(i) +. (st.vx.(i) *. dt));
-    st.y.(i) <- wrap st.box (st.y.(i) +. (st.vy.(i) *. dt));
-    st.z.(i) <- wrap st.box (st.z.(i) +. (st.vz.(i) *. dt))
+    st.x.(i) <- wrap ~box (st.x.(i) +. (st.vx.(i) *. dt));
+    st.y.(i) <- wrap ~box (st.y.(i) +. (st.vy.(i) *. dt));
+    st.z.(i) <- wrap ~box (st.z.(i) +. (st.vz.(i) *. dt))
   done;
   Env.charge_base env (3 * st.n)
 
@@ -212,18 +233,26 @@ let thermostat env st ~step ~steps =
    can no longer rearrange it. *)
 let final_structure env st =
   let rc2 = cutoff *. cutoff in
-  let out = Array.make st.n 0.0 in
-  for i = 0 to st.n - 1 do
+  let n = st.n and box = st.box and species = st.species in
+  let half = 0.5 *. box in
+  let x = st.x and y = st.y and z = st.z in
+  let out = Array.make n 0.0 in
+  for i = 0 to n - 1 do
     let pe = ref 0.0 in
-    for j = 0 to st.n - 1 do
+    let xi = x.(i) and yi = y.(i) and zi = z.(i) in
+    let si = 2 * species_index species i in
+    for j = 0 to n - 1 do
       if j <> i then begin
-        let dx = minimum_image st.box (st.x.(i) -. st.x.(j)) in
-        let dy = minimum_image st.box (st.y.(i) -. st.y.(j)) in
-        let dz = minimum_image st.box (st.z.(i) -. st.z.(j)) in
+        let dx = minimum_image ~box ~half (xi -. x.(j)) in
+        let dy = minimum_image ~box ~half (yi -. y.(j)) in
+        let dz = minimum_image ~box ~half (zi -. z.(j)) in
         let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
         if r2 < rc2 then begin
-          let eps, sigma2 = pair_params st.species.(i) st.species.(j) in
-          pe := !pe +. (0.5 *. lj_potential ~eps ~sigma2 (Float.max r2 (0.81 *. sigma2)))
+          let p = si + species_index species j in
+          let e =
+            lj_potential ~eps:pair_eps.(p) ~sigma2:pair_sigma2.(p) (Float.max r2 pair_guard.(p))
+          in
+          pe := !pe +. (0.5 *. e)
         end
       end
     done;

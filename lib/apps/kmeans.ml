@@ -34,9 +34,14 @@ let generate rng ~n ~k ~dim =
       let c = i mod k in
       Array.init dim (fun d -> centers.(c).(d) +. Rng.gaussian_scaled rng ~mean:0.0 ~sigma:2.6))
 
-let distance2 a b =
+(* Inlined loop rather than an [Array.iteri] closure: the closure would
+   box the accumulator on every component, and a non-inlined call boxes
+   the result (no flambda, and the dev profile builds with -opaque). *)
+let[@inline] distance2 a b =
   let acc = ref 0.0 in
-  Array.iteri (fun d x -> acc := !acc +. ((x -. b.(d)) *. (x -. b.(d)))) a;
+  for d = 0 to Array.length a - 1 do
+    acc := !acc +. ((a.(d) -. b.(d)) *. (a.(d) -. b.(d)))
+  done;
   !acc
 
 type st = {

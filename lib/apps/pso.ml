@@ -29,13 +29,22 @@ let ripple = 1.5 (* Rastrigin amplitude; full 10.0 traps the swarm too often *)
    non-degenerate vector for the relative-distortion QoS metric. *)
 let optimum d = 2.0 +. (0.5 *. sin (float_of_int d))
 
-let objective x =
+(* The objective runs once per particle and loops over the dimensions,
+   so the loop must not allocate.  Without flambda and under the dev
+   profile's -opaque, a closure over a float accumulator boxes it on
+   every update, and a call that is not inlined boxes the result: hence
+   the [@inline] loop.  The offsets are tabulated because recomputing
+   [sin] per dimension cost more than the rest of the objective; each
+   entry is the value [optimum] returns, so runs are bit-identical. *)
+let optimum_table = Array.init 64 optimum
+
+let[@inline] objective x =
   let acc = ref 0.0 in
-  Array.iteri
-    (fun d xd ->
-      let xi = xd -. optimum d in
-      acc := !acc +. ((xi *. xi) -. (ripple *. cos (2.0 *. Float.pi *. xi)) +. ripple))
-    x;
+  for d = 0 to Array.length x - 1 do
+    let o = if d < Array.length optimum_table then optimum_table.(d) else optimum d in
+    let xi = x.(d) -. o in
+    acc := !acc +. ((xi *. xi) -. (ripple *. cos (2.0 *. Float.pi *. xi)) +. ripple)
+  done;
   !acc
 
 type swarm = {

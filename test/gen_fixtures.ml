@@ -17,6 +17,14 @@
    [Optimizer.plan_to_sexp] text of one solve.  Any change to the
    solver's or the predictor's arithmetic shows up as a diff there.
 
+   app_runs.txt pins the simulated applications themselves: every
+   registered app on its default input and one other training input,
+   under the exact schedule, every AB at its maximum level, and each
+   two-phase single-phase-active schedule at maximum levels.  Each run
+   prints its output floats in hex (a digest of them past 512), its work, per-AB work, outer
+   iterations, trace length and control-flow signature, so any drift in a
+   kernel's arithmetic or its work accounting shows up as a diff there.
+
    The corruptions are sexp surgery on the clean artifact rather than
    hand-written files, so the fixtures track the serialization format
    for free whenever it changes — just rerun this program. *)
@@ -76,6 +84,73 @@ let save_plans path trained_path =
     inputs;
   close_out oc
 
+(* One scratch run per schedule, as [Driver.evaluate] would make it
+   without checkpoints: the exact run's seed, and its iteration count for
+   the phase map. *)
+let save_app_runs path =
+  let module App = Opprox_sim.App in
+  let module Schedule = Opprox_sim.Schedule in
+  let module Env = Opprox_sim.Env in
+  let module Driver = Opprox_sim.Driver in
+  let oc = open_out_bin path in
+  let ints a = String.concat "," (List.map string_of_int a) in
+  (* ffmpeg's output is whole frames (38,400 floats a run): long
+     outputs are pinned by the MD5 of their hex text instead, which keeps
+     the file reviewable and is just as strict. *)
+  let hex_floats output =
+    let text = String.concat " " (List.map (Printf.sprintf "%h") (Array.to_list output)) in
+    if Array.length output <= 512 then text
+    else
+      Printf.sprintf "%d floats, md5 %s" (Array.length output)
+        (Digest.to_hex (Digest.string text))
+  in
+  let run (app : App.t) input label sched ~expected_iters =
+    let env =
+      Env.create
+        ~rng:(Opprox_util.Rng.create (Driver.seed_for app input))
+        ~sched ~expected_iters ~n_abs:(App.n_abs app)
+    in
+    let output = app.run env input in
+    let trace = Env.trace env in
+    Printf.fprintf oc
+      "; %s input %s sched %s\nwork %d\nwork_per_ab %s\nouter_iters %d\n\
+       trace_length %d\nsignature %s\noutput %s\n"
+      app.name
+      (String.concat "," (List.map (Printf.sprintf "%g") (Array.to_list input)))
+      label (Env.total_work env)
+      (ints (List.init (App.n_abs app) (Env.work_of_ab env)))
+      (Env.outer_iters env) (List.length trace)
+      (ints (Opprox.Cfmodel.signature_of_trace trace))
+      (hex_floats output);
+    Env.outer_iters env
+  in
+  List.iter
+    (fun (app : App.t) ->
+      let other =
+        List.find
+          (fun i -> i <> app.default_input)
+          (Array.to_list app.training_inputs)
+      in
+      List.iter
+        (fun input ->
+          let max_levels = App.max_levels app in
+          let i_total =
+            run app input "exact" (Schedule.exact ~n_abs:(App.n_abs app)) ~expected_iters:0
+          in
+          ignore
+            (run app input "max" (Schedule.uniform ~n_phases:1 max_levels)
+               ~expected_iters:i_total);
+          for phase = 0 to 1 do
+            ignore
+              (run app input
+                 (Printf.sprintf "phase%d/2" phase)
+                 (Schedule.single_phase_active ~n_phases:2 ~phase max_levels)
+                 ~expected_iters:i_total)
+          done)
+        [ app.default_input; other ])
+    (Opprox_apps.Registry.all ());
+  close_out oc
+
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/fixtures" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -111,4 +186,5 @@ let () =
     (Sexp.record
        [ ("levels", Sexp.list [ Sexp.int_array [| 1; 0 |]; Sexp.int_array [| 1 |] ]) ]);
   save_plans (Filename.concat dir "plans_kmeans.txt") (Filename.concat dir "trained_kmeans.sexp");
-  Printf.printf "wrote 6 fixtures to %s/\n" dir
+  save_app_runs (Filename.concat dir "app_runs.txt");
+  Printf.printf "wrote 7 fixtures to %s/\n" dir

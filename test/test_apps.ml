@@ -244,6 +244,28 @@ let test_kmeans_centroids_sorted () =
     check_bool "canonical order" true (compare (centroid c) (centroid (c + 1)) <= 0)
   done
 
+(* The simulation kernels must not allocate per atom pair or per
+   distance: training runs them hundreds of times per phase.  A cold exact
+   run on the default input (dev profile, as `dune runtest` builds)
+   measured 51 words per outer iteration for comd and 1,992 for kmeans;
+   the boxed-float kernels they replaced allocated 7,790 and 82,400.  The
+   bounds sit an order of magnitude above the current figures and below
+   the old ones, so only a kernel that boxes again trips them. *)
+let minor_words_per_iter app =
+  Driver.clear_cache ();
+  let before = Gc.minor_words () in
+  let exact = Driver.run_exact app app.App.default_input in
+  (Gc.minor_words () -. before) /. float_of_int exact.Driver.iters
+
+let test_kernels_allocation_free () =
+  List.iter
+    (fun (app, bound) ->
+      let words = minor_words_per_iter app in
+      if words > bound then
+        Alcotest.failf "%s allocates %.0f minor words per outer iteration (bound %.0f)"
+          app.App.name words bound)
+    [ (comd, 500.0); (kmeans, 8000.0) ]
+
 let test_kmeans_iterations_respond () =
   let exact = Driver.run_exact kmeans kmeans.App.default_input in
   let ev = uniform kmeans [| 2; 0; 0 |] in
@@ -358,5 +380,6 @@ let suite =
             test_transformer_early_phase_propagates;
           Alcotest.test_case "transformer kv staleness graded" `Quick
             test_transformer_kv_staleness_graded;
+          Alcotest.test_case "kernels allocation-free" `Quick test_kernels_allocation_free;
         ] );
     ]
