@@ -131,20 +131,17 @@ let pool_training_config =
     }
 
 let collect_with_pool j () =
-  (* Clear the whole-evaluation memo so every iteration measures real
-     simulation fan-out, not lookups; the exact-run and checkpoint caches
-     stay warm (shared baseline / production prefix reuse). *)
-  Driver.clear_eval_cache ();
+  (* Each collection simulates in a fresh memo of its own, so every
+     iteration measures real simulation fan-out, not lookups. *)
   ignore
     (Training.collect ~config:(Lazy.force pool_training_config) ~pool:(pool j) (app "comd")
        ~n_phases:2)
 
 let oracle_with_pool j () =
-  (* Clear the memo so every iteration measures the sweep, not a lookup;
-     the driver's exact-run cache stays warm (shared baseline).  ffmpeg
-     has the cheapest full enumeration (216 configs). *)
+  (* Clear the measured-space memo so every iteration measures the sweep,
+     not a lookup.  ffmpeg has the cheapest full enumeration (216
+     configs). *)
   Oracle.clear_cache ();
-  Driver.clear_eval_cache ();
   let a = app "ffmpeg" in
   ignore (Oracle.measured_space ~pool:(pool j) a ~input:a.App.default_input)
 
@@ -163,22 +160,15 @@ let pool_tests =
 
 (* ----------------------------------------------------- checkpoint group *)
 
-(* Scratch vs checkpointed+memoized offline stages at one domain.  The
-   scratch arms disable both the phase-boundary checkpoint path and the
-   whole-evaluation memo (pre-PR behaviour, exact-run cache warm in both
-   arms); the memo arms run the production configuration, whose steady
-   state restores exact phase prefixes from checkpoints and serves
-   repeated evaluations from the memo.  Training.collect datasets are
-   asserted bit-identical across the two configurations in the test
-   suite (test_checkpoint), so the speedup is free of semantic drift. *)
-let without_driver_caches f =
-  Driver.set_checkpointing false;
-  Driver.set_eval_cache false;
-  Fun.protect
-    ~finally:(fun () ->
-      Driver.set_checkpointing true;
-      Driver.set_eval_cache true)
-    f
+(* Scratch vs memoised simulation of two offline stages' runs at one
+   domain: the schedules one Training.collect and one Phases.probe
+   evaluate, in their order.  The scratch arms pass no memo (every run,
+   its exact baseline included, starts from scratch); the memo arms pass
+   a fresh memo per iteration, as the stages do, so exact phase prefixes
+   are restored from checkpoints.  test_checkpoint asserts the two paths
+   bit-identical, so the speedup is free of semantic drift. *)
+let run_all ?memo (a : App.t) runs =
+  Array.iter (fun (sched, input) -> ignore (Driver.evaluate ?memo a sched input)) runs
 
 let ckpt_training_config =
   lazy
@@ -188,21 +178,46 @@ let ckpt_training_config =
       inputs = Some (Array.sub (app "comd").App.training_inputs 0 2);
     }
 
-let ckpt_collect () =
-  ignore
-    (Training.collect ~config:(Lazy.force ckpt_training_config) ~pool:(pool 1) (app "comd")
-       ~n_phases:4)
+(* The runs of a 4-phase collection, read back from its dataset. *)
+let ckpt_collect_runs =
+  lazy
+    (let t =
+       Training.collect ~config:(Lazy.force ckpt_training_config) ~pool:(pool 1) (app "comd")
+         ~n_phases:4
+     in
+     Array.map
+       (fun (s : Training.sample) ->
+         (Schedule.single_phase_active ~n_phases:4 ~phase:s.phase s.levels, s.input))
+       t.Training.samples)
 
-let ckpt_probe () = ignore (Opprox.Phases.probe ~samples_per_phase:4 (app "comd") ~n_phases:4)
+(* The runs of Phases.probe ~samples_per_phase:4 ~n_phases:4 at its
+   default seed: the same four AL vectors active in each phase in turn. *)
+let ckpt_probe_runs =
+  lazy
+    (let a = app "comd" in
+     let rng = Rng.create 0x9A5E in
+     let configs =
+       Array.init 4 (fun _ -> Opprox_sim.Config_space.random_nonzero rng a.App.abs)
+     in
+     Array.concat
+       (List.init 4 (fun phase ->
+            Array.map
+              (fun levels ->
+                (Schedule.single_phase_active ~n_phases:4 ~phase levels, a.App.default_input))
+              configs)))
 
 let ckpt_tests =
+  let arm name runs memoised =
+    Test.make ~name
+      (Staged.stage (fun () ->
+           let memo = if memoised then Some (Driver.memo ()) else None in
+           run_all ?memo (app "comd") (Lazy.force runs)))
+  in
   [
-    Test.make ~name:"ckpt:collect-scratch-j1"
-      (Staged.stage (fun () -> without_driver_caches ckpt_collect));
-    Test.make ~name:"ckpt:collect-memo-j1" (Staged.stage ckpt_collect);
-    Test.make ~name:"ckpt:phase-probe-scratch"
-      (Staged.stage (fun () -> without_driver_caches ckpt_probe));
-    Test.make ~name:"ckpt:phase-probe-memo" (Staged.stage ckpt_probe);
+    arm "ckpt:collect-scratch-j1" ckpt_collect_runs false;
+    arm "ckpt:collect-memo-j1" ckpt_collect_runs true;
+    arm "ckpt:phase-probe-scratch" ckpt_probe_runs false;
+    arm "ckpt:phase-probe-memo" ckpt_probe_runs true;
   ]
 
 let ckpt_snapshot_file = "BENCH_checkpoint.json"
@@ -288,11 +303,15 @@ let span_batch_enabled () =
       Obs_trace.clear ())
     span_batch
 
+(* A memo that lives for the whole suite, for the arms that time memo
+   hits. *)
+let memo = Driver.memo ()
+
 let eval_memo_hit () =
   (* Steady state: the schedule/input pair is already in the eval memo,
      so each call is a lookup plus one [driver.eval.hit] increment. *)
   let a = app "pso" in
-  ignore (Driver.evaluate a (Schedule.uniform ~n_phases:1 [| 1; 1; 1 |]) a.App.default_input)
+  ignore (Driver.evaluate ~memo a (Schedule.uniform ~n_phases:1 [| 1; 1; 1 |]) a.App.default_input)
 
 let obs_tests =
   [
@@ -1094,7 +1113,7 @@ let tests =
     Test.make ~name:"fig15:dtree-fit" (Staged.stage fit_dtree);
     Test.make ~name:"tab2:exact-run-cached" (Staged.stage (fun () ->
         let a = app "pso" in
-        ignore (Driver.run_exact a a.App.default_input)));
+        ignore (Driver.run_exact ~memo a a.App.default_input)));
   ]
 
 (* Measure one test and return its (name, ns-per-run estimate) pairs. *)
@@ -1128,6 +1147,8 @@ let run () =
   ignore (Lazy.force optimizer_payload);
   ignore (Lazy.force dtree_payload);
   ignore (Lazy.force pool_table);
+  (* Warm the suite memo so tab2:exact-run-cached times the hit path. *)
+  ignore (Driver.run_exact ~memo (app "pso") (app "pso").App.default_input);
   let instances = [ Instance.monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:None () in
   List.iter (fun test -> List.iter print_entry (measure cfg instances test)) tests;
@@ -1200,13 +1221,9 @@ let run () =
   (* The scratch collect arm re-simulates everything and takes seconds per
      run; give the checkpoint group a larger quota so both arms get
      enough iterations for a stable estimate. *)
-  (* Populate the driver's checkpoint and evaluation memo layers once,
-     outside the measured region, so the memo arms measure the production
-     steady state (offline stages re-running identical evaluations); the
-     one-time population cost is itself a checkpointed scratch pass.  The
-     scratch arms disable the caches, so warming cannot contaminate them. *)
-  ckpt_collect ();
-  ckpt_probe ();
+  (* Build both arms' run lists outside the measured region. *)
+  ignore (Lazy.force ckpt_collect_runs);
+  ignore (Lazy.force ckpt_probe_runs);
   let ckpt_cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 3.0) ~kde:None () in
   let ckpt_entries =
     List.concat_map (measure ckpt_cfg instances) (ckpt_tests @ predict_tests)
@@ -1233,13 +1250,10 @@ let pool_smoke () =
       inputs = Some (Array.sub a.App.training_inputs 0 2);
     }
   in
-  let collect pool =
-    Driver.clear_eval_cache ();
-    Training.collect ~config ~pool a ~n_phases:2
-  in
+  let collect pool = Training.collect ~config ~pool a ~n_phases:2 in
   let p1 = Pool.create ~jobs:1 () and p2 = Pool.create ~jobs:2 () in
-  (* Warm the exact-run / checkpoint memos so both arms measure the same
-     steady state, and check determinism across job counts while at it. *)
+  (* Every collection simulates in a fresh memo, so both arms measure the
+     same work; check determinism across job counts first. *)
   let w1 = collect p1 and w2 = collect p2 in
   let identical = w1.Training.samples = w2.Training.samples in
   let reps = 3 in

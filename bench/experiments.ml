@@ -38,7 +38,7 @@ let fig3 () =
   print_endline "Expected shape: approximation can increase the iteration count";
   print_endline "(the paper observed 921 exact vs up to 965 approximate).";
   let app = find_app "lulesh" in
-  let exact = Driver.run_exact app (default_input app) in
+  let exact = Driver.run_exact ~memo app (default_input app) in
   let configs = probe_set app in
   let t = Table.create [ "configuration"; "outer iters"; "vs exact" ] in
   Table.add_row t [ "exact"; string_of_int exact.Driver.iters; "-" ];
@@ -118,7 +118,7 @@ let fig7 () =
       List.iter
         (fun (label, order) ->
           let input = [| 24.0; 4.0; 6.0; order |] in
-          let ev = Driver.evaluate app (Schedule.uniform ~n_phases:1 levels) input in
+          let ev = Driver.evaluate ~memo app (Schedule.uniform ~n_phases:1 levels) input in
           Table.add_row t
             [
               label;
@@ -367,7 +367,7 @@ let fig15 () =
                 let evs =
                   Pool.parallel_map ~chunk:1
                     (fun levels ->
-                      Driver.evaluate app
+                      Driver.evaluate ~memo app
                         (Schedule.single_phase_active ~n_phases:4 ~phase levels)
                         input)
                     configs
@@ -428,7 +428,6 @@ let tab2 () =
   let phase_counts = [ 1; 2; 4; 8 ] in
   List.iter
     (fun (app : App.t) ->
-      Driver.clear_cache ();
       let cells =
         List.map
           (fun n ->
@@ -506,7 +505,7 @@ let ablate_ci () =
               Opprox.Optimizer.optimize ~models ~roi:tr.Opprox.roi
                 ~input:(default_input app) ~budget ()
             in
-            Driver.evaluate app plan.Opprox.Optimizer.schedule (default_input app)
+            Driver.evaluate ~memo app plan.Opprox.Optimizer.schedule (default_input app)
           in
           let with_ci = run tr.Opprox.models in
           let without = run no_ci_models in

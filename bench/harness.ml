@@ -83,7 +83,11 @@ let timed f =
 
 let default_input (app : App.t) = app.App.default_input
 
-let evaluate app sched = Driver.evaluate app sched (default_input app)
+(* One simulation memo for the whole harness run: experiments re-evaluate
+   the same deterministic schedules across tables and figures. *)
+let memo = Driver.memo ()
+
+let evaluate app sched = Driver.evaluate ~memo app sched (default_input app)
 
 (* Random probe configurations shared across phases of one experiment so
    per-phase numbers are directly comparable (same settings, different

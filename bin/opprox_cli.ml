@@ -195,13 +195,14 @@ let list_cmd =
 let probe_cmd =
   let run () (app : App.t) =
     let input = app.App.default_input in
-    let exact = Driver.run_exact app input in
+    let memo = Driver.memo () in
+    let exact = Driver.run_exact ~memo app input in
     Printf.printf "%s: exact run %d iterations, %d work units\n\n" app.name exact.Driver.iters
       exact.Driver.work;
     let t = Table.create [ "level (all ABs)"; "speedup"; "qos %"; "iters" ] in
     for level = 0 to 5 do
       let levels = Array.map (fun m -> Stdlib.min level m) (App.max_levels app) in
-      let ev = Driver.evaluate app (Schedule.uniform ~n_phases:1 levels) input in
+      let ev = Driver.evaluate ~memo app (Schedule.uniform ~n_phases:1 levels) input in
       Table.add_row t
         [
           string_of_int level;
@@ -214,7 +215,9 @@ let probe_cmd =
     let mid = Array.map (fun m -> (m + 1) / 2) (App.max_levels app) in
     let t = Table.create [ "active phase (of 4)"; "speedup"; "qos %" ] in
     for phase = 0 to 3 do
-      let ev = Driver.evaluate app (Schedule.single_phase_active ~n_phases:4 ~phase mid) input in
+      let ev =
+        Driver.evaluate ~memo app (Schedule.single_phase_active ~n_phases:4 ~phase mid) input
+      in
       Table.add_row t
         [
           string_of_int (phase + 1);

@@ -23,13 +23,13 @@ let rec take n = function
 
 let signature_of_trace trace = take signature_length trace
 
-let build app ~inputs =
+let build ?memo app ~inputs =
   if Array.length inputs = 0 then invalid_arg "Cfmodel.build: no inputs";
   let classes = Hashtbl.create 8 in
   let labels =
     Array.map
       (fun input ->
-        let exact = Driver.run_exact app input in
+        let exact = Driver.run_exact ?memo app input in
         let signature = signature_of_trace exact.trace in
         match Hashtbl.find_opt classes signature with
         | Some id -> id

@@ -17,9 +17,10 @@ val signature_length : int
 val signature_of_trace : int list -> int list
 (** Truncate a trace to its signature. *)
 
-val build : Opprox_sim.App.t -> inputs:float array array -> t
-(** Run each input exactly (memoized), extract signatures, assign class
-    ids in first-seen order, and fit the decision tree. *)
+val build : ?memo:Opprox_sim.Driver.memo -> Opprox_sim.App.t -> inputs:float array array -> t
+(** Run each input exactly (looked up in [?memo] when given), extract
+    signatures, assign class ids in first-seen order, and fit the
+    decision tree. *)
 
 val classify : t -> float array -> int
 (** Predict the control-flow class of an input from its parameters. *)

@@ -86,11 +86,13 @@ let run ?(config = default_config) ?replan ~models ~roi ~input (plan : Optimizer
   let total_exact_work = float_of_int exact.Driver.work in
   let n_phases = Schedule.n_phases plan.Optimizer.schedule in
   let n_abs = App.n_abs app in
-  (* The exact run's work, split over this plan's phases.  Computed through
-     the driver's evaluation path, so it rides the whole-evaluation memo
-     and checkpoint reuse — no extra exact simulation is charged. *)
+  (* The exact run's work, split over this plan's phases: one run of the
+     exact schedule under this plan's phase count, scored against the
+     baseline above.  No schedule is evaluated twice, so no memo. *)
   let exact_profile =
-    let ev = Driver.evaluate app (Schedule.uniform ~n_phases (Array.make n_abs 0)) input in
+    let ev =
+      Driver.evaluate ~exact app (Schedule.uniform ~n_phases (Array.make n_abs 0)) input
+    in
     Array.map float_of_int ev.Driver.work_per_phase
   in
   (* Per-phase work the plan predicts: the phase's share of exact work

@@ -13,10 +13,14 @@ let m_space_misses = Metrics.counter "oracle.space.miss"
 let m_configs = Metrics.counter "oracle.space.configs"
 
 (* Measured spaces are memoized on the same stable (app, input-bits)
-   string key the driver uses.  The table is sharded (mutex per shard)
-   so concurrent hot hits from pool workers — e.g. the experiment
-   harness sweeping many budgets over the same inputs — do not
-   serialize behind one lock. *)
+   string key the driver uses.  Unlike a driver memo, this table stays
+   process-global: one entry answers the oracle query for every budget
+   on its input, and callers ask for many budgets one call at a time
+   (the experiment harness's budget sweeps, [Opprox.run_oracle]), so no
+   single call is the scope that fills it.  It holds final evaluations
+   only, never checkpoints, and [clear_cache] drops it.  The table is
+   sharded (mutex per shard) so concurrent hot hits from pool workers
+   do not serialize behind one lock. *)
 module Shardmap = Opprox_util.Shardmap
 
 let cache : (int array * Driver.evaluation) list Shardmap.t =
@@ -33,15 +37,17 @@ let measured_space ?pool (app : App.t) ~input =
   | None ->
       Metrics.incr m_space_misses;
       Trace.with_span ~cat:"oracle" "oracle.measured_space" @@ fun () ->
+      (* Every configuration is scored against this one baseline, passed
+         with [?exact]; a single-phase schedule has no checkpoint to reuse,
+         so the sweep needs no driver memo. *)
       let exact = Driver.run_exact app input in
       let configs = Array.of_list (Config_space.all app.App.abs) in
       Metrics.add m_configs (Array.length configs);
       (* The exhaustive sweep is embarrassingly parallel: every
          configuration is scored independently against the shared exact
-         baseline.  Index-preserving map keeps the enumeration order.
-         Per-config cost collapses to sub-microsecond once the driver's
-         eval memo is warm, so a grain of several configs keeps the
-         steal traffic proportional to useful work. *)
+         baseline.  Index-preserving map keeps the enumeration order, and
+         a grain of several configs keeps the steal traffic proportional
+         to useful work on the cheap apps. *)
       let evaluations =
         Pool.parallel_map ?pool ~grain:8
           (fun levels ->

@@ -11,7 +11,7 @@ type probe_result = {
   max_consecutive_diff : float;
 }
 
-let probe ?(samples_per_phase = 8) ?(seed = 0x9A5E) (app : App.t) ~n_phases =
+let probe_in memo ?(samples_per_phase = 8) ?(seed = 0x9A5E) (app : App.t) ~n_phases =
   if n_phases < 1 then invalid_arg "Phases.probe: n_phases must be >= 1";
   (* Seed from [seed] alone — NOT [seed + n_phases].  Algorithm 1 compares
      max_consecutive_diff across phase counts, so every probe must draw the
@@ -30,7 +30,7 @@ let probe ?(samples_per_phase = 8) ?(seed = 0x9A5E) (app : App.t) ~n_phases =
           Array.map
             (fun levels ->
               let sched = Schedule.single_phase_active ~n_phases ~phase levels in
-              (Driver.evaluate app sched input).qos_degradation)
+              (Driver.evaluate ~memo app sched input).qos_degradation)
             configs
         in
         Stats.mean degradations)
@@ -47,16 +47,21 @@ let probe ?(samples_per_phase = 8) ?(seed = 0x9A5E) (app : App.t) ~n_phases =
   in
   { n_phases; mean_qos_per_phase; max_consecutive_diff }
 
+let probe ?samples_per_phase ?seed app ~n_phases =
+  probe_in (Driver.memo ()) ?samples_per_phase ?seed app ~n_phases
+
 let search ?(threshold = 1.0) ?(max_phases = 8) ?samples_per_phase ?seed app =
   if max_phases < 2 then invalid_arg "Phases.search: max_phases must be >= 2";
-  let first = probe ?samples_per_phase ?seed app ~n_phases:2 in
+  (* One memo for the whole search: every probe shares the exact run. *)
+  let probe = probe_in (Driver.memo ()) ?samples_per_phase ?seed app in
+  let first = probe ~n_phases:2 in
   (* Algorithm 1: keep doubling while the max consecutive-phase QoS
      difference still moves by more than the threshold. *)
   let rec go n prev probes =
     let next_n = n * 2 in
     if next_n > max_phases then (n, List.rev probes)
     else begin
-      let next = probe ?samples_per_phase ?seed app ~n_phases:next_n in
+      let next = probe ~n_phases:next_n in
       let probes = next :: probes in
       if Float.abs (prev.max_consecutive_diff -. next.max_consecutive_diff) > threshold then
         go next_n next probes

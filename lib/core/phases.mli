@@ -18,7 +18,8 @@ type probe_result = {
 val probe : ?samples_per_phase:int -> ?seed:int -> Opprox_sim.App.t -> n_phases:int -> probe_result
 (** The helper getMaxQoSDiff: run the application's default input with
     [samples_per_phase] (default 8) random AL vectors active in one phase
-    at a time and aggregate the per-phase mean QoS degradations. *)
+    at a time and aggregate the per-phase mean QoS degradations.  The
+    runs share one {!Opprox_sim.Driver.memo}, dropped on return. *)
 
 val search :
   ?threshold:float ->
@@ -30,4 +31,5 @@ val search :
 (** Algorithm 1: returns the selected phase count and the probes made
     along the way.  [threshold] (default 1.0 QoS points) is the
     user-provided phase-sensitivity threshold; [max_phases] (default 8)
-    bounds the doubling. *)
+    bounds the doubling.  All probes share one
+    {!Opprox_sim.Driver.memo}, dropped on return. *)

@@ -39,12 +39,12 @@ type config = {
 
 let default_config = { joint_samples_per_phase = 12; inputs = None; seed = 0xDA7A }
 
-let evaluate_sample ~classes ~app ~n_phases ~input ~phase levels =
+let evaluate_sample ~memo ~classes ~app ~n_phases ~input ~phase levels =
   let sched = Schedule.single_phase_active ~n_phases ~phase levels in
-  (* No [?exact] override: the driver resolves the baseline through its
-     own (warm) exact-run memo, which keeps these evaluations eligible for
+  (* No [?exact] override: the driver resolves the baseline through the
+     memo's (warm) exact runs, which keeps these evaluations eligible for
      both the checkpoint path and the whole-evaluation memo. *)
-  let ev = Driver.evaluate app sched input in
+  let ev = Driver.evaluate ~memo app sched input in
   {
     input;
     phase;
@@ -89,15 +89,19 @@ let collect ?(config = default_config) ?pool app ~n_phases =
   Trace.with_span ~cat:"training" "training.collect" @@ fun () ->
   Metrics.incr m_collects;
   let inputs = match config.inputs with Some i -> i | None -> app.App.training_inputs in
+  (* One memo for this collection, shared by the pool workers and dropped
+     on return. *)
+  let memo = Driver.memo () in
   (* Hoist the exact baseline: one golden run per input, computed up front
-     (in parallel across inputs) so the driver's exact-run memo is warm
-     before the sampling plan fans out. *)
+     (in parallel across inputs) so the memo's exact runs are warm before
+     the sampling plan fans out. *)
   let _exacts : Driver.exact_run array =
     Trace.with_span ~cat:"training" "training.exact_baselines" (fun () ->
-        Pool.parallel_map ?pool ~grain:1 (Driver.run_exact app) inputs)
+        Pool.parallel_map ?pool ~grain:1 (Driver.run_exact ~memo app) inputs)
   in
   let classes =
-    Trace.with_span ~cat:"training" "training.cfmodel" (fun () -> Cfmodel.build app ~inputs)
+    Trace.with_span ~cat:"training" "training.cfmodel" (fun () ->
+        Cfmodel.build ~memo app ~inputs)
   in
   (* The plan visits phases in ascending order per input, so the first
      phase-1 run of an input creates the phase-1 boundary checkpoint, the
@@ -133,7 +137,7 @@ let collect ?(config = default_config) ?pool app ~n_phases =
                 (fun (start, len) ->
                   Array.init len (fun j ->
                       let t = plan.(start + j) in
-                      evaluate_sample ~classes ~app ~n_phases ~input:t.input ~phase:t.phase
+                      evaluate_sample ~memo ~classes ~app ~n_phases ~input:t.input ~phase:t.phase
                         t.levels))
                 groups)))
   in

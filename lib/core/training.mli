@@ -36,8 +36,8 @@ val default_config : config
 
 val collect : ?config:config -> ?pool:Opprox_util.Pool.t -> Opprox_sim.App.t -> n_phases:int -> t
 (** Run the instrumented application over the sampling plan.  The exact
-    baseline is executed {e once per input}, up front, warming the
-    driver's exact-run memo; every sample in the plan is then evaluated
+    baseline is executed {e once per input}, up front, into a
+    {!Opprox_sim.Driver.memo} that lives for this call only; every sample in the plan is then evaluated
     against that baseline, fanned out over [?pool] (default:
     {!Opprox_util.Pool.default}).  The plan visits phases in ascending
     order per input, which is exactly the checkpoint-friendly order: each

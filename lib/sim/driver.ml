@@ -1,5 +1,4 @@
 module Rng = Opprox_util.Rng
-module Dmutex = Opprox_util.Dmutex
 module Metrics = Opprox_obs.Metrics
 
 type exact_run = { output : float array; work : int; iters : int; trace : int list }
@@ -17,20 +16,16 @@ type evaluation = {
   work_per_phase : int array;
 }
 
-type cache_stats = { hits : int; misses : int; size : int }
+(* ------------------------------------------------------------- memo *)
 
-(* ------------------------------------------------------------- caches *)
-
-(* Every driver cache follows the same discipline: stable string keys,
+(* Every memo table follows the same discipline: stable string keys,
    lookups under a per-shard mutex ({!Opprox_util.Shardmap}), computation
    outside it (two domains racing on one key duplicate a deterministic
    computation instead of serializing every distinct one behind it), FIFO
-   eviction beyond the capacity so long bench matrices cannot grow memory
-   without limit.  Hashing keys across shards means a hot memo hit from a
-   pool worker takes an uncontended lock with high probability — under
-   the old single-mutex tables the memo itself was the scaling
-   bottleneck once checkpointing collapsed per-task cost. *)
-module Bounded = Opprox_util.Shardmap
+   eviction beyond the capacity.  A memo is shared by the pool workers of
+   one stage, so a hot hit takes an uncontended shard lock with high
+   probability. *)
+module Shardmap = Opprox_util.Shardmap
 
 (* Exact phase-boundary checkpoints: the paused state of the golden
    trajectory at the first iteration of phase q, keyed by
@@ -40,48 +35,22 @@ type checkpoint = {
   frozen : App.instance;  (* never stepped; cloned once per resume *)
 }
 
-let default_memo_shards = 16
-let memo_shards_n = ref default_memo_shards
-let ckpt_capacity = ref 512
-let eval_capacity = 4096
+type memo = {
+  exact : exact_run Shardmap.t;  (* one entry per distinct input *)
+  ckpt : checkpoint Shardmap.t;
+  evals : evaluation Shardmap.t;  (* keyed by (app, input, schedule) *)
+}
 
-(* Exact runs are pure functions of (application, input); the memo is
-   unbounded like in previous revisions (one entry per distinct input). *)
-let exact_cache : exact_run Bounded.t ref =
-  ref (Bounded.create ~name:"driver.exact" ~shards:default_memo_shards ~capacity:max_int ())
+let memo () =
+  {
+    exact = Shardmap.create ~name:"driver.exact" ~capacity:max_int ();
+    ckpt = Shardmap.create ~name:"driver.ckpt" ~capacity:512 ();
+    evals = Shardmap.create ~name:"driver.eval" ~capacity:4096 ();
+  }
 
-let checkpoint_cache : checkpoint Bounded.t ref =
-  ref (Bounded.create ~name:"driver.ckpt" ~shards:default_memo_shards ~capacity:!ckpt_capacity ())
-
-(* Full-evaluation memo: schedules repeat across training sweeps, oracle
-   probes and bench matrices, and an evaluation is a pure function of
-   (app, input, schedule). *)
-let eval_cache : evaluation Bounded.t ref =
-  ref (Bounded.create ~name:"driver.eval" ~shards:default_memo_shards ~capacity:eval_capacity ())
-
-let checkpointing_on = Atomic.make true
-let eval_cache_on = Atomic.make true
-let set_checkpointing b = Atomic.set checkpointing_on b
-let set_eval_cache b = Atomic.set eval_cache_on b
-
-let set_checkpoint_capacity n =
-  ckpt_capacity := n;
-  Bounded.set_capacity !checkpoint_cache n
-
-let memo_shards () = !memo_shards_n
-
-let set_memo_shards n =
-  if n < 1 then invalid_arg "Driver.set_memo_shards: shards must be >= 1";
-  memo_shards_n := n;
-  exact_cache := Bounded.create ~name:"driver.exact" ~shards:n ~capacity:max_int ();
-  checkpoint_cache := Bounded.create ~name:"driver.ckpt" ~shards:n ~capacity:!ckpt_capacity ();
-  eval_cache := Bounded.create ~name:"driver.eval" ~shards:n ~capacity:eval_capacity ()
-
-(* Cache accounting lives in the process-wide metrics registry (atomic
-   counters, so pool workers bump them without the cache mutexes); tests
-   and benches assert reuse against these instead of inferring it from
-   wall-clock.  The accessor functions below are thin reads over the
-   registry, kept for source compatibility. *)
+(* Reuse is counted in the process-wide metrics registry (atomic
+   counters, so pool workers bump them without the shard locks); tests
+   and benches assert it as before/after deltas. *)
 let exact_executions = Metrics.counter "driver.exact.run"
 let exact_hits = Metrics.counter "driver.exact.hit"
 let ckpt_hits = Metrics.counter "driver.ckpt.hit"
@@ -89,45 +58,6 @@ let ckpt_misses = Metrics.counter "driver.ckpt.miss"
 let ckpt_saves = Metrics.counter "driver.ckpt.save"
 let eval_hits = Metrics.counter "driver.eval.hit"
 let eval_misses = Metrics.counter "driver.eval.miss"
-
-(* Resettable counters: Metrics.reset is registry-wide, but the cache
-   accounting must be zeroable in isolation (tests bracket one collect).
-   Each counter keeps a baseline subtracted on read. *)
-let baselines : (string * int Atomic.t * Metrics.counter) list =
-  List.map
-    (fun (name, c) -> (name, Atomic.make 0, c))
-    [
-      ("driver.exact.run", exact_executions);
-      ("driver.exact.hit", exact_hits);
-      ("driver.ckpt.hit", ckpt_hits);
-      ("driver.ckpt.miss", ckpt_misses);
-      ("driver.ckpt.save", ckpt_saves);
-      ("driver.eval.hit", eval_hits);
-      ("driver.eval.miss", eval_misses);
-    ]
-
-let read c =
-  let _, base, _ = List.find (fun (_, _, c') -> c' == c) baselines in
-  Metrics.value c - Atomic.get base
-
-let exact_run_count () = read exact_executions
-let reset_exact_run_count () =
-  let _, base, _ = List.find (fun (_, _, c') -> c' == exact_executions) baselines in
-  Atomic.set base (Metrics.value exact_executions)
-
-let exact_cache_stats () =
-  { hits = read exact_hits; misses = read exact_executions; size = Bounded.size !exact_cache }
-
-let checkpoint_stats () =
-  { hits = read ckpt_hits; misses = read ckpt_misses; size = Bounded.size !checkpoint_cache }
-
-let eval_cache_stats () =
-  { hits = read eval_hits; misses = read eval_misses; size = Bounded.size !eval_cache }
-
-let checkpoint_save_count () = read ckpt_saves
-
-let reset_cache_stats () =
-  List.iter (fun (_, base, c) -> Atomic.set base (Metrics.value c)) baselines
 
 let input_key (app : App.t) input =
   let b = Buffer.create 64 in
@@ -139,14 +69,7 @@ let input_key (app : App.t) input =
     input;
   Buffer.contents b
 
-let clear_cache () = Bounded.clear !exact_cache
-let clear_checkpoints () = Bounded.clear !checkpoint_cache
-let clear_eval_cache () = Bounded.clear !eval_cache
-
-let clear_all_caches () =
-  clear_cache ();
-  clear_checkpoints ();
-  clear_eval_cache ()
+let clear_all_caches () = ()
 
 let seed_for (app : App.t) input =
   (* Same seed for exact and approximate runs of one input: QoS differences
@@ -169,26 +92,25 @@ let execute (app : App.t) sched ~expected_iters input =
   let output = app.run env input in
   (env, output)
 
-let run_exact (app : App.t) input =
-  let key = input_key app input in
-  match Bounded.find !exact_cache key with
-  | Some r ->
-      Metrics.incr exact_hits;
-      r
-  | None ->
-      Metrics.incr exact_executions;
-      let sched = Schedule.exact ~n_abs:(App.n_abs app) in
-      let env, output = execute app sched ~expected_iters:0 input in
-      let r =
-        {
-          output;
-          work = Env.total_work env;
-          iters = Env.outer_iters env;
-          trace = Env.trace env;
-        }
-      in
-      ignore (Bounded.add !exact_cache key r);
-      r
+let compute_exact (app : App.t) input =
+  Metrics.incr exact_executions;
+  let sched = Schedule.exact ~n_abs:(App.n_abs app) in
+  let env, output = execute app sched ~expected_iters:0 input in
+  { output; work = Env.total_work env; iters = Env.outer_iters env; trace = Env.trace env }
+
+let run_exact ?memo (app : App.t) input =
+  match memo with
+  | None -> compute_exact app input
+  | Some m -> (
+      let key = input_key app input in
+      match Shardmap.find m.exact key with
+      | Some r ->
+          Metrics.incr exact_hits;
+          r
+      | None ->
+          let r = compute_exact app input in
+          ignore (Shardmap.add m.exact key r);
+          r)
 
 (* ------------------------------------------------- checkpointed path *)
 
@@ -197,18 +119,17 @@ let run_exact (app : App.t) input =
    [ceil (q * i_total / n)].  The state of any schedule with an exact
    prefix covering phases [0 .. q-1] is bit-identical to the golden
    trajectory up to (not including) this iteration. *)
-let boundary_iter ~n_phases ~i_total q = ((q * i_total) + n_phases - 1) / n_phases
-let phase_boundary ~n_phases ~i_total q = boundary_iter ~n_phases ~i_total q
+let phase_boundary ~n_phases ~i_total q = ((q * i_total) + n_phases - 1) / n_phases
 
 (* Run [app] under [sched], restoring the deepest cached exact-prefix
    checkpoint and saving any boundary checkpoints the run passes through.
    Returns [None] when no phase boundary is reusable (no exact prefix,
    single phase, or a zero-iteration exact run) — the caller then takes
    the scratch path. *)
-let execute_checkpointed (app : App.t) mk sched ~(exact : exact_run) input =
+let execute_checkpointed (m : memo) (app : App.t) mk sched ~(exact : exact_run) input =
   let n = Schedule.n_phases sched in
   let i_total = exact.iters in
-  let boundary q = boundary_iter ~n_phases:n ~i_total q in
+  let boundary q = phase_boundary ~n_phases:n ~i_total q in
   let q_max =
     (* Deepest boundary inside the exact prefix; phase [n-1] has no
        boundary after it, and boundaries at iteration 0 are the scratch
@@ -223,7 +144,7 @@ let execute_checkpointed (app : App.t) mk sched ~(exact : exact_run) input =
     let rec lookup q =
       if q < 1 then None
       else
-        match Bounded.find !checkpoint_cache (key q) with
+        match Shardmap.find m.ckpt (key q) with
         | Some c -> Some (q, c)
         | None -> lookup (q - 1)
     in
@@ -252,7 +173,7 @@ let execute_checkpointed (app : App.t) mk sched ~(exact : exact_run) input =
       if Env.outer_iters env = b then begin
         let snap = Env.snapshot env in
         let frozen = inst.App.clone (Env.resume snap ~sched ~expected_iters:i_total) in
-        if Bounded.add !checkpoint_cache (key q) { snap; frozen } then Metrics.incr ckpt_saves
+        if Shardmap.add m.ckpt (key q) { snap; frozen } then Metrics.incr ckpt_saves
       end
     done;
     while inst.App.step () do
@@ -261,13 +182,11 @@ let execute_checkpointed (app : App.t) mk sched ~(exact : exact_run) input =
     Some (env, inst.App.finish ())
   end
 
-let run_sched (app : App.t) sched ~exact input =
+let run_sched ?memo (app : App.t) sched ~exact input =
   let via_checkpoint =
-    if Atomic.get checkpointing_on then
-      match app.iterative with
-      | Some mk -> execute_checkpointed app mk sched ~exact input
-      | None -> None
-    else None
+    match (memo, app.iterative) with
+    | Some m, Some mk -> execute_checkpointed m app mk sched ~exact input
+    | _ -> None
   in
   match via_checkpoint with
   | Some r -> r
@@ -292,8 +211,8 @@ let sched_key sched =
 let copy_evaluation ev =
   { ev with work_per_ab = Array.copy ev.work_per_ab; work_per_phase = Array.copy ev.work_per_phase }
 
-let compute_evaluation (app : App.t) sched ~(exact : exact_run) input =
-  let env, output = run_sched app sched ~exact input in
+let compute_evaluation ?memo (app : App.t) sched ~(exact : exact_run) input =
+  let env, output = run_sched ?memo app sched ~exact input in
   let work = Env.total_work env in
   let psnr, qos_degradation =
     match app.report_metric with
@@ -315,26 +234,24 @@ let compute_evaluation (app : App.t) sched ~(exact : exact_run) input =
     work_per_phase = Env.work_per_phase env;
   }
 
-let evaluate ?exact (app : App.t) sched input =
+let evaluate ?memo ?exact (app : App.t) sched input =
   if Schedule.n_abs sched <> App.n_abs app then
     invalid_arg "Driver.evaluate: schedule AB count mismatch";
-  match exact with
-  | Some e ->
+  match (memo, exact) with
+  | _, Some e ->
       (* A caller-supplied baseline may differ from the memoized exact run
-         (tests do this); such evaluations bypass the memo entirely. *)
-      compute_evaluation app sched ~exact:e input
-  | None ->
-      if not (Atomic.get eval_cache_on) then
-        compute_evaluation app sched ~exact:(run_exact app input) input
-      else begin
-        let key = input_key app input ^ sched_key sched in
-        match Bounded.find !eval_cache key with
-        | Some ev ->
-            Metrics.incr eval_hits;
-            copy_evaluation ev
-        | None ->
-            Metrics.incr eval_misses;
-            let ev = compute_evaluation app sched ~exact:(run_exact app input) input in
-            ignore (Bounded.add !eval_cache key (copy_evaluation ev));
-            ev
-      end
+         (tests do this); such evaluations bypass the whole-evaluation
+         memo. *)
+      compute_evaluation ?memo app sched ~exact:e input
+  | None, None -> compute_evaluation app sched ~exact:(compute_exact app input) input
+  | Some m, None -> (
+      let key = input_key app input ^ sched_key sched in
+      match Shardmap.find m.evals key with
+      | Some ev ->
+          Metrics.incr eval_hits;
+          copy_evaluation ev
+      | None ->
+          Metrics.incr eval_misses;
+          let ev = compute_evaluation ~memo:m app sched ~exact:(run_exact ~memo:m app input) input in
+          ignore (Shardmap.add m.evals key (copy_evaluation ev));
+          ev)

@@ -6,22 +6,32 @@
     runs whose phase boundaries are derived from the exact iteration count,
     and score them against the golden output.
 
-    Three memo layers avoid re-simulating deterministic work, all
-    domain-safe (mutex + stable string keys) and observable through
-    {!cache_stats}:
+    Deterministic work is memoised in a {!memo}, a value the caller
+    creates, passes and drops.  The offline stages that re-simulate
+    shared prefixes ([Phases.search], [Training.collect]) each create one
+    for their call, share it with their pool workers (the tables are
+    sharded, one mutex per shard) and let it go when they return, so
+    nothing a stage simulated outlives it; stages that score everything
+    against one baseline ([Controller.run], [Oracle.measured_space])
+    pass it with [?exact] and need none.  A memo holds three layers:
 
-    - {b exact runs} per (application, input) — unbounded, one entry per
-      distinct input;
+    - {b exact runs} per (application, input), one entry per distinct
+      input;
     - {b exact phase-boundary checkpoints} per (application, input,
       n_phases, boundary phase): the paused golden trajectory at the first
       iteration of a phase.  A schedule whose leading phases are all exact
       (e.g. the training sampler's single-phase-active probes) resumes from
-      the deepest cached boundary instead of re-simulating the prefix;
-    - {b whole evaluations} per (application, input, schedule).
+      the deepest cached boundary instead of re-simulating the prefix
+      (FIFO-bounded at 512 entries);
+    - {b whole evaluations} per (application, input, schedule)
+      (FIFO-bounded at 4096 entries).
 
-    The determinism contract is hard: a resumed run is bit-identical to
-    the scratch run — output, work units, outer iterations and trace — so
-    caching is observable only through the counters and the clock. *)
+    Without a memo, {!run_exact} and {!evaluate} simulate from scratch:
+    that is the reference path the bit-identity tests compare against.
+    The determinism contract is hard: a resumed or memoised run is
+    bit-identical to the scratch run — output, work units, outer
+    iterations and trace — so a memo is observable only through the
+    [driver.*] counters of {!Opprox_obs.Metrics} and the clock. *)
 
 type exact_run = {
   output : float array;
@@ -43,85 +53,39 @@ type evaluation = {
   work_per_phase : int array;
 }
 
-val run_exact : App.t -> float array -> exact_run
-(** Memoized exact execution of one input. *)
+type memo
+(** The three memo tables of one stage; safe to share across domains. *)
 
-val evaluate : ?exact:exact_run -> App.t -> Schedule.t -> float array -> evaluation
+val memo : unit -> memo
+(** A fresh, empty memo. *)
+
+val run_exact : ?memo:memo -> App.t -> float array -> exact_run
+(** Exact execution of one input, looked up in and added to [?memo]
+    when one is given. *)
+
+val evaluate :
+  ?memo:memo -> ?exact:exact_run -> App.t -> Schedule.t -> float array -> evaluation
 (** [evaluate app sched input] runs [app] on [input] under [sched] and
-    scores it against the exact run (computed, or supplied via [?exact] to
-    bypass the cache).  The schedule's AB count must match the app's.
+    scores it against the exact run (computed, or supplied via [?exact]).
+    The schedule's AB count must match the app's.
 
-    When the app is iterative and the schedule has a non-empty exact phase
-    prefix, the run resumes from a memoized checkpoint when one exists and
-    saves the boundary checkpoints it passes through.  Evaluations with
-    [?exact] omitted are additionally memoized whole; a caller-supplied
-    baseline bypasses that memo (the result depends on the baseline). *)
+    With [?memo], an iterative app whose schedule has a non-empty exact
+    phase prefix resumes from the memo's deepest checkpoint and saves the
+    boundary checkpoints it passes through, and evaluations with [?exact]
+    omitted are memoised whole; a caller-supplied baseline bypasses that
+    memo (the result depends on the baseline).  Without [?memo] the run
+    starts from scratch.
 
-(** {2 Cache control and observability} *)
-
-type cache_stats = {
-  hits : int;  (** lookups served from the cache *)
-  misses : int;  (** lookups that fell through to real execution *)
-  size : int;  (** entries currently resident *)
-}
-
-val clear_cache : unit -> unit
-(** Drop memoized exact runs (used by timing benchmarks).  Safe to call
-    concurrently with lookups from other domains. *)
-
-val clear_checkpoints : unit -> unit
-(** Drop memoized phase-boundary checkpoints. *)
-
-val clear_eval_cache : unit -> unit
-(** Drop memoized whole evaluations. *)
+    Counters: [driver.exact.run] (exact executions), [driver.exact.hit];
+    [driver.ckpt.hit] / [driver.ckpt.miss] (exactly one per memoised run
+    whose exact prefix covers at least one boundary iteration),
+    [driver.ckpt.save] (boundary checkpoints inserted, first writer per
+    key); [driver.eval.hit] / [driver.eval.miss]. *)
 
 val clear_all_caches : unit -> unit
-(** All three of the above. *)
-
-val set_checkpointing : bool -> unit
-(** Enable/disable checkpoint reuse (default on).  Disabling forces every
-    run down the scratch path — the bit-identity tests and the scratch arm
-    of the checkpoint benchmarks rely on it. *)
-
-val set_eval_cache : bool -> unit
-(** Enable/disable the whole-evaluation memo (default on; FIFO-bounded at
-    4096 entries). *)
-
-val set_checkpoint_capacity : int -> unit
-(** Bound the checkpoint table (FIFO eviction; default 512 entries).
-    Lowering the capacity evicts immediately. *)
-
-val memo_shards : unit -> int
-(** Number of independent shards each memo table hashes its keys across
-    (default 16).  Each shard has its own mutex, so concurrent hot hits
-    from pool workers take uncontended locks with high probability. *)
-
-val set_memo_shards : int -> unit
-(** Rebuild all three memo tables with the given shard count.  {b Drops
-    every cached entry} (counters are untouched).  Sharding only
-    partitions keys across locks: hit/miss/save accounting and results
-    are identical at any shard count (property-tested against 1 shard). *)
-
-val exact_cache_stats : unit -> cache_stats
-val checkpoint_stats : unit -> cache_stats
-(** A miss is counted only when checkpointing {e applied} (iterative app,
-    exact prefix covering at least one boundary iteration) but no boundary
-    was cached — i.e. exactly one of hit/miss per checkpointable run. *)
-
-val eval_cache_stats : unit -> cache_stats
-
-val checkpoint_save_count : unit -> int
-(** Boundary checkpoints actually inserted (first writer per key). *)
-
-val reset_cache_stats : unit -> unit
-(** Zero every hit/miss/save counter (cache contents are untouched). *)
-
-val exact_run_count : unit -> int
-(** Number of exact executions actually performed by this process (cache
-    misses, not lookups).  Training asserts "one exact run per input"
-    against this counter. *)
-
-val reset_exact_run_count : unit -> unit
+(** Does nothing: memos are scoped to the stage that creates them, so no
+    process-wide table is left to clear.  Kept only because the
+    end-to-end benchmark ([bench/e2e/offline.ml]) still calls it. *)
 
 val input_key : App.t -> float array -> string
 (** Stable memo key for an (application, input) pair: the application

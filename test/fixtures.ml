@@ -92,6 +92,9 @@ let flow =
 
 (* Shared helpers. *)
 
+(* A registered counter's value; tests assert before/after deltas. *)
+let counter name = Opprox_obs.Metrics.value (Opprox_obs.Metrics.counter name)
+
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_eps eps = Alcotest.(check (float eps))
 let check_int = Alcotest.(check int)

@@ -252,7 +252,6 @@ let test_kmeans_centroids_sorted () =
    bounds sit an order of magnitude above the current figures and below
    the old ones, so only a kernel that boxes again trips them. *)
 let minor_words_per_iter app =
-  Driver.clear_cache ();
   let before = Gc.minor_words () in
   let exact = Driver.run_exact app app.App.default_input in
   (Gc.minor_words () -. before) /. float_of_int exact.Driver.iters

@@ -18,17 +18,6 @@ module Pool = Opprox_util.Pool
 module Training = Opprox.Training
 open Fixtures
 
-(* Restore the driver's global switches whatever a test does. *)
-let with_driver_flags ~checkpointing ~eval_cache f =
-  Fun.protect
-    ~finally:(fun () ->
-      Driver.set_checkpointing true;
-      Driver.set_eval_cache true)
-    (fun () ->
-      Driver.set_checkpointing checkpointing;
-      Driver.set_eval_cache eval_cache;
-      f ())
-
 (* Small inputs keep the per-case simulation cost of the QCheck properties
    in the milliseconds while still running tens of outer iterations. *)
 let small_input (app : App.t) =
@@ -68,23 +57,25 @@ let resume_equals_scratch (app : App.t) =
     (fun (n_phases, phase, levels) ->
       let input = small_input app in
       let sched = Schedule.single_phase_active ~n_phases ~phase levels in
-      with_driver_flags ~checkpointing:false ~eval_cache:false (fun () ->
-          Driver.clear_checkpoints ();
-          let scratch = Driver.evaluate app sched input in
-          Driver.set_checkpointing true;
-          let before = Driver.checkpoint_stats () in
-          (* First checkpointed run saves the boundary checkpoints ... *)
-          let cold = Driver.evaluate app sched input in
-          (* ... the second resumes from the deepest one. *)
-          let warm = Driver.evaluate app sched input in
-          let after = Driver.checkpoint_stats () in
-          let reuse_observed =
-            (* Any phase > 0 schedule has a non-empty exact prefix, so the
-               warm run must have resumed (and the cold one missed). *)
-            if phase = 0 then true
-            else after.Driver.hits > before.Driver.hits && after.Driver.misses > before.Driver.misses
-          in
-          eval_equal scratch cold && eval_equal scratch warm && reuse_observed))
+      let scratch = Driver.evaluate app sched input in
+      let memo = Driver.memo () in
+      let exact = Driver.run_exact ~memo app input in
+      let hits = counter "driver.ckpt.hit" and misses = counter "driver.ckpt.miss" in
+      (* A caller-supplied baseline bypasses the whole-evaluation memo, so
+         the first run saves the boundary checkpoints ... *)
+      let cold = Driver.evaluate ~memo ~exact app sched input in
+      (* ... and the second resumes from the deepest one. *)
+      let warm = Driver.evaluate ~memo ~exact app sched input in
+      let reuse_observed =
+        (* Any phase > 0 schedule has a non-empty exact prefix, so the
+           warm run must have resumed (and the cold one missed). *)
+        phase = 0 || (counter "driver.ckpt.hit" > hits && counter "driver.ckpt.miss" > misses)
+      in
+      (* The production path: resumed, then served whole from the memo. *)
+      let memoised = Driver.evaluate ~memo app sched input in
+      let served = Driver.evaluate ~memo app sched input in
+      eval_equal scratch cold && eval_equal scratch warm && eval_equal scratch memoised
+      && eval_equal scratch served && reuse_observed)
 
 let all_apps = Opprox_apps.Registry.all ()
 
@@ -95,77 +86,47 @@ let all_apps = Opprox_apps.Registry.all ()
 let test_exact_schedule_via_checkpoints () =
   let app = Opprox_apps.Registry.find "comd" in
   let input = small_input app in
-  with_driver_flags ~checkpointing:true ~eval_cache:false (fun () ->
-      Driver.clear_checkpoints ();
-      let exact = Driver.run_exact app input in
-      let ev =
-        Driver.evaluate app (Schedule.uniform ~n_phases:4 [| 0; 0; 0 |]) input
-      in
-      check_float "exact schedule degrades nothing" 0.0 ev.Driver.qos_degradation;
-      check_int "exact schedule work" exact.Driver.work ev.Driver.work;
-      check_int "exact schedule iters" exact.Driver.iters ev.Driver.outer_iters)
+  let memo = Driver.memo () in
+  let exact = Driver.run_exact ~memo app input in
+  let ev = Driver.evaluate ~memo app (Schedule.uniform ~n_phases:4 [| 0; 0; 0 |]) input in
+  check_float "exact schedule degrades nothing" 0.0 ev.Driver.qos_degradation;
+  check_int "exact schedule work" exact.Driver.work ev.Driver.work;
+  check_int "exact schedule iters" exact.Driver.iters ev.Driver.outer_iters
 
 (* Opaque apps (no iterative form) silently fall back to scratch. *)
 let test_opaque_fallback () =
-  with_driver_flags ~checkpointing:true ~eval_cache:false (fun () ->
-      Driver.clear_checkpoints ();
-      Driver.reset_cache_stats ();
-      let sched = Schedule.single_phase_active ~n_phases:4 ~phase:2 [| 1; 1 |] in
-      let ev1 = Driver.evaluate toy sched toy.App.default_input in
-      let ev2 = Driver.evaluate toy sched toy.App.default_input in
-      let stats = Driver.checkpoint_stats () in
-      check_bool "toy runs agree" true (eval_equal ev1 ev2);
-      check_int "no checkpoint activity for opaque app" 0 (stats.Driver.hits + stats.Driver.misses);
-      check_int "no checkpoints saved for opaque app" 0 stats.Driver.size)
-
-let test_checkpoint_capacity_and_clear () =
-  let app = Opprox_apps.Registry.find "kmeans" in
-  let input = small_input app in
-  with_driver_flags ~checkpointing:true ~eval_cache:false (fun () ->
-      Driver.clear_checkpoints ();
-      Fun.protect
-        ~finally:(fun () -> Driver.set_checkpoint_capacity 512)
-        (fun () ->
-          Driver.set_checkpoint_capacity 1;
-          let sched = Schedule.single_phase_active ~n_phases:4 ~phase:3 [| 1; 0; 0 |] in
-          let scratch =
-            Driver.set_checkpointing false;
-            Driver.evaluate app sched input
-          in
-          Driver.set_checkpointing true;
-          let capped = Driver.evaluate app sched input in
-          let stats = Driver.checkpoint_stats () in
-          check_bool "capped run bit-identical" true (eval_equal scratch capped);
-          check_bool "capacity bound respected" true (stats.Driver.size <= 1);
-          Driver.set_checkpoint_capacity 512;
-          ignore (Driver.evaluate app sched input);
-          check_bool "capacity raise allows growth" true
-            ((Driver.checkpoint_stats ()).Driver.size >= 1);
-          Driver.clear_checkpoints ();
-          check_int "clear empties the table" 0 (Driver.checkpoint_stats ()).Driver.size))
+  let memo = Driver.memo () in
+  let input = toy.App.default_input in
+  let exact = Driver.run_exact ~memo toy input in
+  let sched = Schedule.single_phase_active ~n_phases:4 ~phase:2 [| 1; 1 |] in
+  let activity () = counter "driver.ckpt.hit" + counter "driver.ckpt.miss" in
+  let activity0 = activity () and saves0 = counter "driver.ckpt.save" in
+  let ev1 = Driver.evaluate ~memo ~exact toy sched input in
+  let ev2 = Driver.evaluate ~memo ~exact toy sched input in
+  check_bool "toy runs agree" true (eval_equal ev1 ev2);
+  check_int "no checkpoint activity for opaque app" activity0 (activity ());
+  check_int "no checkpoints saved for opaque app" saves0 (counter "driver.ckpt.save")
 
 let test_eval_cache_hits () =
   let app = Opprox_apps.Registry.find "kmeans" in
   let input = small_input app in
   let sched = Schedule.single_phase_active ~n_phases:3 ~phase:1 [| 2; 1; 0 |] in
-  with_driver_flags ~checkpointing:true ~eval_cache:true (fun () ->
-      Driver.clear_eval_cache ();
-      Driver.reset_cache_stats ();
-      let ev1 = Driver.evaluate app sched input in
-      let ev2 = Driver.evaluate app sched input in
-      let stats = Driver.eval_cache_stats () in
-      check_bool "memoized evaluation identical" true (eval_equal ev1 ev2);
-      check_int "one miss" 1 stats.Driver.misses;
-      check_int "one hit" 1 stats.Driver.hits;
-      (* Mutating a returned evaluation must not corrupt the memo. *)
-      ev2.Driver.work_per_ab.(0) <- -1;
-      let ev3 = Driver.evaluate app sched input in
-      check_bool "memo unaffected by caller mutation" true (eval_equal ev1 ev3);
-      (* A caller-supplied baseline bypasses the memo. *)
-      let exact = Driver.run_exact app input in
-      let before = (Driver.eval_cache_stats ()).Driver.hits in
-      ignore (Driver.evaluate ~exact app sched input);
-      check_int "?exact bypasses the memo" before (Driver.eval_cache_stats ()).Driver.hits)
+  let memo = Driver.memo () in
+  let hits0 = counter "driver.eval.hit" and misses0 = counter "driver.eval.miss" in
+  let ev1 = Driver.evaluate ~memo app sched input in
+  let ev2 = Driver.evaluate ~memo app sched input in
+  check_bool "memoized evaluation identical" true (eval_equal ev1 ev2);
+  check_int "one miss" 1 (counter "driver.eval.miss" - misses0);
+  check_int "one hit" 1 (counter "driver.eval.hit" - hits0);
+  (* Mutating a returned evaluation must not corrupt the memo. *)
+  ev2.Driver.work_per_ab.(0) <- -1;
+  let ev3 = Driver.evaluate ~memo app sched input in
+  check_bool "memo unaffected by caller mutation" true (eval_equal ev1 ev3);
+  (* A caller-supplied baseline bypasses the memo. *)
+  let exact = Driver.run_exact ~memo app input in
+  let before = counter "driver.eval.hit" in
+  ignore (Driver.evaluate ~memo ~exact app sched input);
+  check_int "?exact bypasses the memo" before (counter "driver.eval.hit")
 
 (* The stable seed: a pure function of the app seed and the input's
    IEEE-754 bits, identical across processes and OCaml versions.  The
@@ -224,49 +185,85 @@ let test_exact_prefix () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Training.collect under checkpointing: the collected dataset is
-   bit-identical to the scratch dataset, and each input's exact phase
-   prefix is simulated exactly once (one checkpoint-cache miss per input,
-   n_phases - 1 saves, everything else hits). *)
+(* Training.collect's memo: the collected dataset is bit-identical to
+   scratch runs of its sampling plan, and each input's exact phase prefix
+   is simulated exactly once (one checkpoint miss per input, n_phases - 1
+   saves, everything else hits). *)
 let test_collect_accounting () =
   let app = Opprox_apps.Registry.find "comd" in
   let inputs = [| [| 2.0; 1.35; 60.0 |]; [| 2.0; 1.5; 80.0 |] |] in
   let n_phases = 4 in
   let config = { Training.default_config with joint_samples_per_phase = 2; inputs = Some inputs } in
+  let names = [ "driver.ckpt.hit"; "driver.ckpt.miss"; "driver.ckpt.save"; "driver.eval.hit" ] in
   let pool = Pool.create ~jobs:1 () in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
-      with_driver_flags ~checkpointing:false ~eval_cache:false (fun () ->
-          Driver.clear_all_caches ();
-          let scratch = Training.collect ~config ~pool app ~n_phases in
-          Driver.set_checkpointing true;
-          Driver.clear_all_caches ();
-          Driver.reset_cache_stats ();
-          let resumed = Training.collect ~config ~pool app ~n_phases in
-          check_bool "datasets bit-identical (scratch vs checkpointed)" true
-            (scratch.Training.samples = resumed.Training.samples);
-          let stats = Driver.checkpoint_stats () in
-          let n_inputs = Array.length inputs in
-          check_int "one scratch prefix per (input, n_phases)" n_inputs stats.Driver.misses;
-          check_int "one checkpoint per interior boundary" (n_inputs * (n_phases - 1))
-            (Driver.checkpoint_save_count ());
-          (* Every phase>=1 run except the first per input resumes: the
-             plan has (local sweeps + joint samples) runs per phase. *)
-          let runs_per_phase =
-            List.length (Opprox_sim.Config_space.local_sweeps app.App.abs)
-            + config.Training.joint_samples_per_phase
+      let before = List.map (fun n -> (n, counter n)) names in
+      let t = Training.collect ~config ~pool app ~n_phases in
+      let delta n = counter n - List.assoc n before in
+      let exacts = Array.map (Driver.run_exact app) inputs in
+      Array.iter
+        (fun (s : Training.sample) ->
+          let exact = exacts.(if s.input = inputs.(0) then 0 else 1) in
+          let ev =
+            Driver.evaluate ~exact app
+              (Schedule.single_phase_active ~n_phases ~phase:s.phase s.levels)
+              s.input
           in
-          let applicable = n_inputs * (n_phases - 1) * runs_per_phase in
-          check_int "all other prefix runs resume from a checkpoint"
-            (applicable - n_inputs) stats.Driver.hits;
-          (* Third arm: the full production configuration (checkpoints and
-             evaluation memo on) still reproduces the scratch dataset. *)
-          Driver.set_eval_cache true;
-          Driver.clear_all_caches ();
-          let memoized = Training.collect ~config ~pool app ~n_phases in
-          check_bool "datasets bit-identical (scratch vs memoized)" true
-            (scratch.Training.samples = memoized.Training.samples)))
+          let scratch =
+            {
+              s with
+              speedup = ev.speedup;
+              qos = ev.qos_degradation;
+              iters_ratio = float_of_int ev.outer_iters /. float_of_int ev.exact_iters;
+              trace_class = Opprox.Cfmodel.class_of_trace t.Training.classes ev.trace;
+            }
+          in
+          if scratch <> s then
+            Alcotest.failf "sample (phase %d) differs from its scratch run" s.phase)
+        t.Training.samples;
+      let n_inputs = Array.length inputs in
+      check_int "no schedule repeats in this plan" 0 (delta "driver.eval.hit");
+      check_int "one scratch prefix per (input, n_phases)" n_inputs (delta "driver.ckpt.miss");
+      check_int "one checkpoint per interior boundary" (n_inputs * (n_phases - 1))
+        (delta "driver.ckpt.save");
+      (* Every phase>=1 run except the first per input resumes: the
+         plan has (local sweeps + joint samples) runs per phase. *)
+      let runs_per_phase =
+        List.length (Opprox_sim.Config_space.local_sweeps app.App.abs)
+        + config.Training.joint_samples_per_phase
+      in
+      let applicable = n_inputs * (n_phases - 1) * runs_per_phase in
+      check_int "all other prefix runs resume from a checkpoint" (applicable - n_inputs)
+        (delta "driver.ckpt.hit"))
+
+(* A stage drops its memo when it returns: collecting the kmeans fixture
+   app (2 phases, 8 joint samples, as test/gen_fixtures.ml trains it)
+   leaves live only what the returned dataset reaches, plus [slack] words
+   for one-time initialisation.  In the full suite, the process-global
+   memo this replaced left 68,115 words live after this collection,
+   against 4,815 reachable from the dataset; with the memo scoped to the
+   collection, 4,668 stay live. *)
+let test_collect_drops_memo () =
+  let app = Opprox_apps.Registry.find "kmeans" in
+  let config = { Training.default_config with joint_samples_per_phase = 8 } in
+  let pool = Pool.create ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let live () =
+        Gc.compact ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let before = live () in
+      let t = Training.collect ~config ~pool app ~n_phases:2 in
+      let grown = live () - before in
+      let reachable = Obj.reachable_words (Obj.repr t) in
+      let slack = 16_384 in
+      if grown > reachable + slack then
+        Alcotest.failf "collect left %d words live; its dataset reaches %d (slack %d)" grown
+          reachable slack)
 
 let suite =
   [
@@ -276,11 +273,11 @@ let suite =
           Alcotest.test_case "exact schedule via checkpoints" `Quick
             test_exact_schedule_via_checkpoints;
           Alcotest.test_case "opaque app falls back" `Quick test_opaque_fallback;
-          Alcotest.test_case "capacity bound + clear" `Quick test_checkpoint_capacity_and_clear;
           Alcotest.test_case "evaluation memo" `Quick test_eval_cache_hits;
           Alcotest.test_case "seed_for stability" `Quick test_seed_for_stable;
           Alcotest.test_case "env snapshot roundtrip" `Quick test_env_snapshot_roundtrip;
           Alcotest.test_case "schedule exact_prefix" `Quick test_exact_prefix;
           Alcotest.test_case "collect accounting" `Slow test_collect_accounting;
+          Alcotest.test_case "collect drops its memo" `Quick test_collect_drops_memo;
         ] );
   ]

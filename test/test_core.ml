@@ -469,9 +469,7 @@ let test_run_oracle_facade () =
 (* ---------------------------------------------------------- determinism *)
 
 let test_training_deterministic () =
-  Driver.clear_cache ();
   let a = Training.collect ~config:training_config toy ~n_phases:2 in
-  Driver.clear_cache ();
   let b = Training.collect ~config:training_config toy ~n_phases:2 in
   check_int "same run count" (Training.n_runs a) (Training.n_runs b);
   Array.iteri

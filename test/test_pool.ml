@@ -234,7 +234,6 @@ let same_dataset label (a : Training.t) (b : Training.t) =
 
 let test_training_parallel_equals_sequential () =
   let collect jobs =
-    Driver.clear_cache ();
     Training.collect ~config:training_config ~pool:(pool_of_jobs jobs) toy ~n_phases:2
   in
   let seq = collect 1 in
@@ -243,21 +242,20 @@ let test_training_parallel_equals_sequential () =
     [ 2; 4; 8 ]
 
 let test_training_one_exact_run_per_input () =
-  Driver.clear_cache ();
-  Driver.reset_exact_run_count ();
+  let before = counter "driver.exact.run" in
   let t = Training.collect ~config:training_config ~pool:(pool_of_jobs 4) toy ~n_phases:2 in
   check_bool "collected something" true (Training.n_runs t > 0);
-  (* The hoisted baseline plus the memo table mean the golden configuration
-     executed exactly once per training input, not once per sample. *)
+  (* The hoisted baseline plus the collection's memo mean the golden
+     configuration executed exactly once per training input, not once per
+     sample. *)
   check_int "one exact execution per input" (Array.length toy.Opprox_sim.App.training_inputs)
-    (Driver.exact_run_count ())
+    (counter "driver.exact.run" - before)
 
 (* --------------------------------------------------- Oracle integration *)
 
 let test_oracle_parallel_equals_sequential () =
   let space jobs =
     Oracle.clear_cache ();
-    Driver.clear_cache ();
     Oracle.measured_space ~pool:(pool_of_jobs jobs) toy ~input:toy.Opprox_sim.App.default_input
   in
   let seq = space 1 in
@@ -275,52 +273,12 @@ let test_oracle_parallel_equals_sequential () =
 
 let test_oracle_cache_hit_skips_reruns () =
   Oracle.clear_cache ();
-  Driver.clear_cache ();
   let input = toy.Opprox_sim.App.default_input in
   let a = Oracle.measured_space ~pool:(pool_of_jobs 2) toy ~input in
-  Driver.reset_exact_run_count ();
+  let before = counter "driver.exact.run" in
   let b = Oracle.measured_space ~pool:(pool_of_jobs 2) toy ~input in
-  check_int "memo hit: no new exact runs" 0 (Driver.exact_run_count ());
+  check_int "memo hit: no new exact runs" 0 (counter "driver.exact.run" - before);
   check_bool "same list" true (a == b)
-
-(* ------------------------------------------------------- memo sharding *)
-
-(* The sharded driver memos must be observationally identical to a
-   single-table configuration: same dataset bit-for-bit and the same
-   hit/miss/save totals, whatever the parallelism. *)
-let test_sharded_memo_equals_single_table () =
-  let run shards =
-    Driver.set_memo_shards shards;
-    Oracle.clear_cache ();
-    Driver.reset_cache_stats ();
-    Driver.reset_exact_run_count ();
-    let t = Training.collect ~config:training_config ~pool:(pool_of_jobs 4) toy ~n_phases:2 in
-    let e = Driver.exact_cache_stats ()
-    and c = Driver.checkpoint_stats ()
-    and v = Driver.eval_cache_stats () in
-    ( t,
-      (e.Driver.hits, e.Driver.misses),
-      (c.Driver.hits, c.Driver.misses),
-      (v.Driver.hits, v.Driver.misses),
-      Driver.checkpoint_save_count () )
-  in
-  Fun.protect
-    ~finally:(fun () -> Driver.set_memo_shards 16)
-    (fun () ->
-      check_int "default shard count" 16 (Driver.memo_shards ());
-      let t1, e1, c1, v1, s1 = run 1 in
-      check_int "shard count applied" 1 (Driver.memo_shards ());
-      let tn, en, cn, vn, sn = run 16 in
-      same_dataset "1 shard vs 16" t1 tn;
-      check_int "same exact hits" (fst e1) (fst en);
-      check_int "same exact misses" (snd e1) (snd en);
-      check_int "same checkpoint hits" (fst c1) (fst cn);
-      check_int "same checkpoint misses" (snd c1) (snd cn);
-      check_int "same eval hits" (fst v1) (fst vn);
-      check_int "same eval misses" (snd v1) (snd vn);
-      check_int "same checkpoint saves" s1 sn);
-  Alcotest.check_raises "shards 0" (Invalid_argument "Driver.set_memo_shards: shards must be >= 1")
-    (fun () -> Driver.set_memo_shards 0)
 
 (* --------------------------------------------------------------- cleanup *)
 
@@ -360,8 +318,6 @@ let suite =
         Alcotest.test_case "oracle parallel = sequential" `Quick
           test_oracle_parallel_equals_sequential;
         Alcotest.test_case "oracle memo is domain-safe" `Quick test_oracle_cache_hit_skips_reruns;
-        Alcotest.test_case "sharded memos = single table" `Quick
-          test_sharded_memo_equals_single_table;
         Alcotest.test_case "shutdown" `Quick test_shutdown;
       ] );
   ]

@@ -373,9 +373,7 @@ let test_driver_exact_run () =
   check_bool "finite output" true (Array.for_all Float.is_finite exact.Driver.output)
 
 let test_driver_exact_deterministic () =
-  Driver.clear_cache ();
   let a = Driver.run_exact toy toy.App.default_input in
-  Driver.clear_cache ();
   let b = Driver.run_exact toy toy.App.default_input in
   Alcotest.(check (array (float 0.0))) "identical outputs" a.Driver.output b.Driver.output;
   check_int "identical work" a.Driver.work b.Driver.work
@@ -412,15 +410,18 @@ let test_driver_seed_differs_by_input () =
     (Driver.seed_for toy [| 1.0 |] <> Driver.seed_for toy [| 2.0 |])
 
 let test_driver_cache_hits () =
-  Driver.clear_cache ();
-  let a = Driver.run_exact toy toy.App.default_input in
-  let b = Driver.run_exact toy toy.App.default_input in
+  let memo = Driver.memo () in
+  let a = Driver.run_exact ~memo toy toy.App.default_input in
+  let b = Driver.run_exact ~memo toy toy.App.default_input in
   (* Memoized: the very same record comes back. *)
-  check_bool "physically cached" true (a == b)
+  check_bool "physically cached" true (a == b);
+  (* Without a memo every call runs from scratch. *)
+  check_bool "no memo, fresh run" true (Driver.run_exact toy toy.App.default_input != a)
 
 let test_driver_cache_keyed_by_input () =
-  let a = Driver.run_exact toy [| 1.0 |] in
-  let b = Driver.run_exact toy [| 2.0 |] in
+  let memo = Driver.memo () in
+  let a = Driver.run_exact ~memo toy [| 1.0 |] in
+  let b = Driver.run_exact ~memo toy [| 2.0 |] in
   check_bool "distinct per input" true (a != b)
 
 let prop_evaluation_speedup_work_consistent =

@@ -1,6 +1,7 @@
-(* Unit and property tests for Opprox_util: Rng, Stats, Table. *)
+(* Unit and property tests for Opprox_util: Rng, Stats, Table, Shardmap. *)
 
 module Rng = Opprox_util.Rng
+module Shardmap = Opprox_util.Shardmap
 module Stats = Opprox_util.Stats
 module Table = Opprox_util.Table
 open Fixtures
@@ -337,8 +338,29 @@ let prop_csv_roundtrip_cells =
         data;
       !commas = List.length cells - 1)
 
+(* ------------------------------------------------------------ Shardmap *)
+
+(* The FIFO bound the driver's checkpoint table relies on: at capacity 1
+   each insert evicts the previous entry, raising the capacity lets the
+   table grow again, and [clear] empties it. *)
+let test_shardmap_capacity_and_clear () =
+  let m = Shardmap.create ~name:"t.capacity" ~capacity:1 () in
+  check_bool "first insert kept" true (Shardmap.add m "a" 1);
+  check_bool "second insert kept" true (Shardmap.add m "b" 2);
+  check_bool "oldest evicted" true (Shardmap.find m "a" = None);
+  check_bool "newest resident" true (Shardmap.find m "b" = Some 2);
+  check_bool "first writer wins" false (Shardmap.add m "b" 3);
+  check_int "capacity bound respected" 1 (Shardmap.size m);
+  Shardmap.set_capacity m 2;
+  ignore (Shardmap.add m "c" 3);
+  check_int "capacity raise allows growth" 2 (Shardmap.size m);
+  Shardmap.clear m;
+  check_int "clear empties the table" 0 (Shardmap.size m)
+
 let suite =
   [
+    ( "shardmap",
+      [ Alcotest.test_case "capacity bound + clear" `Quick test_shardmap_capacity_and_clear ] );
     ( "rng",
       [
         Alcotest.test_case "determinism" `Quick test_rng_determinism;
